@@ -1317,9 +1317,19 @@ impl DelayOptimal {
                 self.route(fx, a, Body::Relinquish { req });
             }
         }
-        self.cold.replied.clear();
-        self.cold.tran_stack.clear();
-        self.cold.inq_queue.clear();
+        self.end_request();
+    }
+
+    /// Returns the requester side to idle. The per-request buffers are
+    /// replaced, not cleared, so their capacity goes back to the
+    /// allocator: `tran_stack` keeps every superseded transfer until exit
+    /// (hundreds of entries at `K ≈ 200`) and `replied` spills past site
+    /// 255, and a site may never request again. The contents match a
+    /// `clear()`, so `Debug` output is unchanged.
+    fn end_request(&mut self) {
+        self.cold.replied = SiteSet::new();
+        self.cold.tran_stack = Vec::new();
+        self.cold.inq_queue = Vec::new();
         self.failed = false;
         self.my_req = None;
         self.phase = RequesterPhase::Idle;
@@ -1356,12 +1366,7 @@ impl DelayOptimal {
                 self.route(fx, a, Body::Abandon { req });
             }
         }
-        self.cold.replied.clear();
-        self.cold.tran_stack.clear();
-        self.cold.inq_queue.clear();
-        self.failed = false;
-        self.my_req = None;
-        self.phase = RequesterPhase::Idle;
+        self.end_request();
         self.abort_ctrs.aborts += 1;
         self.pump(fx);
         true
@@ -1432,12 +1437,15 @@ impl DelayOptimal {
             seq: self.clock.tick(),
             site: self.site,
         };
+        // Idle is only ever entered through `end_request` (or `new`).
+        debug_assert!(
+            self.cold.replied.is_empty()
+                && self.cold.tran_stack.is_empty()
+                && self.cold.inq_queue.is_empty()
+                && !self.failed
+        );
         self.my_req = Some(ts);
         self.phase = RequesterPhase::Waiting;
-        self.cold.replied.clear();
-        self.failed = false;
-        self.cold.inq_queue.clear();
-        self.cold.tran_stack.clear();
         for i in 0..self.cold.req_set.len() {
             let j = self.cold.req_set[i];
             self.route(fx, j, Body::Request { ts });
@@ -1492,34 +1500,42 @@ impl Protocol for DelayOptimal {
         // C.1: honor the newest transfer per arbiter — forward that
         // arbiter's reply directly to the named beneficiary (the
         // delay-optimal hop), discarding older transfers from the same
-        // arbiter.
+        // arbiter. The stack is walked newest first, and an arbiter leaves
+        // `replied` with its first forward, so older entries for it find
+        // it gone. Every entry's arbiter is in `replied`: `req_transfer`
+        // checks it, and a yield drops the yielded arbiter's entries.
+        let stack = std::mem::take(&mut self.cold.tran_stack);
+        debug_assert!(stack.iter().all(|e| self.cold.replied.contains(e.arbiter)));
         let mut forwarded: Vec<(SiteId, Timestamp)> = Vec::new();
-        let mut seen = SiteSet::new();
-        while let Some(e) = self.cold.tran_stack.pop() {
-            if !self.cold.cfg.forwarding_enabled {
-                continue;
-            }
-            if self.cold.known_failed.contains(e.beneficiary.site) {
-                continue; // §6 case 2: dead beneficiaries are purged
-            }
-            if seen.insert(e.arbiter) {
-                self.route(
-                    fx,
-                    e.beneficiary.site,
-                    Body::Reply {
-                        arbiter: e.arbiter,
-                        req: e.beneficiary,
-                        transfer: None,
-                    },
-                );
-                forwarded.push((e.arbiter, e.beneficiary));
+        if self.cold.cfg.forwarding_enabled {
+            for e in stack.iter().rev() {
+                if self.cold.known_failed.contains(e.beneficiary.site) {
+                    continue; // §6 case 2: dead beneficiaries are purged
+                }
+                if self.cold.replied.remove(e.arbiter) {
+                    self.route(
+                        fx,
+                        e.beneficiary.site,
+                        Body::Reply {
+                            arbiter: e.arbiter,
+                            req: e.beneficiary,
+                            transfer: None,
+                        },
+                    );
+                    forwarded.push((e.arbiter, e.beneficiary));
+                }
             }
         }
 
         // C.2: tell every arbiter whether its permission was forwarded.
+        // Sorted by arbiter, so each lookup is a binary search.
+        forwarded.sort_unstable_by_key(|&(a, _)| a);
         for i in 0..self.cold.req_set.len() {
             let j = self.cold.req_set[i];
-            let fwd = forwarded.iter().find(|(a, _)| *a == j).map(|(_, b)| *b);
+            let fwd = forwarded
+                .binary_search_by_key(&j, |&(a, _)| a)
+                .ok()
+                .map(|k| forwarded[k].1);
             self.route(
                 fx,
                 j,
@@ -1530,12 +1546,7 @@ impl Protocol for DelayOptimal {
             );
         }
 
-        self.phase = RequesterPhase::Idle;
-        self.my_req = None;
-        self.cold.replied.clear();
-        self.failed = false;
-        self.cold.inq_queue.clear();
-        self.cold.tran_stack.clear();
+        self.end_request();
         self.pump(fx);
     }
 
@@ -2961,5 +2972,183 @@ mod tests {
     #[should_panic(expected = "quorum contains duplicates")]
     fn duplicate_quorum_panics() {
         let _ = DelayOptimal::new(SiteId(0), vec![SiteId(1), SiteId(1)], Config::default());
+    }
+
+    // ------------------------------------------------------------------
+    // Per-request buffers are handed back when a request ends.
+    // ------------------------------------------------------------------
+
+    /// Quorum `{0, 1, 2, 299}` for every site: 299 puts a permission in
+    /// the spilled part of `replied`.
+    fn spill_net() -> Vec<DelayOptimal> {
+        net(300, &[0, 1, 2, 299])
+    }
+
+    /// Panics unless some arbiter has two transfers pending at `s`.
+    fn assert_repeated_transfers(s: &DelayOptimal) {
+        let stack = &s.cold.tran_stack;
+        let repeated = stack
+            .iter()
+            .any(|e| stack.iter().filter(|f| f.arbiter == e.arbiter).count() >= 2);
+        assert!(repeated, "no arbiter sent two transfers: {stack:?}");
+    }
+
+    fn assert_buffers_handed_back(s: &DelayOptimal) {
+        assert_eq!(s.phase(), RequesterPhase::Idle);
+        assert_eq!(s.cold.tran_stack.capacity(), 0, "tran_stack kept capacity");
+        assert_eq!(s.cold.inq_queue.capacity(), 0, "inq_queue kept capacity");
+        assert_eq!(s.cold.replied.spill_capacity(), 0, "replied kept its spill");
+        s.assert_invariants();
+    }
+
+    fn sends_of(f: impl FnOnce(&mut Effects<Msg>)) -> Vec<(SiteId, Msg)> {
+        let mut fx = Effects::new();
+        f(&mut fx);
+        fx.take_sends()
+    }
+
+    fn send(to: u32, clk: u64, body: Body) -> (SiteId, Msg) {
+        (
+            SiteId(to),
+            Msg {
+                clk: SeqNum(clk),
+                body,
+            },
+        )
+    }
+
+    /// Site 0's request `seq` to the other members of `{0, 1, 2, 299}`.
+    fn requests_of_site_0(seq: u64) -> Vec<(SiteId, Msg)> {
+        let ts = Timestamp::new(seq, SiteId(0));
+        [1, 2, 299]
+            .into_iter()
+            .map(|to| send(to, seq, Body::Request { ts }))
+            .collect()
+    }
+
+    #[test]
+    fn release_hands_back_per_request_buffers() {
+        let mut sites = spill_net();
+        let mut inflight = VecDeque::new();
+        request(&mut sites, 0, &mut inflight);
+        settle(&mut sites, &mut inflight);
+        assert!(sites[0].in_cs());
+        // 2 then 1 queue behind the holder. Equal clocks, so 1 outranks
+        // 2: arbiters 0, 2 and 299 see 2 first and then 1, and each sends
+        // the holder a second transfer naming the new head.
+        request(&mut sites, 2, &mut inflight);
+        request(&mut sites, 1, &mut inflight);
+        settle(&mut sites, &mut inflight);
+        assert_repeated_transfers(&sites[0]);
+        assert!(sites[0].cold.replied.spill_capacity() > 0);
+
+        let sends = sends_of(|fx| sites[0].release_cs(fx));
+        assert_buffers_handed_back(&sites[0]);
+        // C.1 forwards the newest transfer per arbiter, newest first; C.2
+        // releases in quorum order. The trailing transfer is arbiter 0's
+        // own (local) release moving its lock on to 1.
+        let (me, to_1) = (Timestamp::new(1, SiteId(0)), Timestamp::new(2, SiteId(1)));
+        let reply = |arbiter| Body::Reply {
+            arbiter: SiteId(arbiter),
+            req: to_1,
+            transfer: None,
+        };
+        let release_msg = Body::Release {
+            holder_req: me,
+            forwarded_to: Some(to_1),
+        };
+        let expected = vec![
+            send(1, 2, reply(299)),
+            send(1, 2, reply(2)),
+            send(1, 2, reply(1)),
+            send(1, 2, reply(0)),
+            send(1, 2, release_msg.clone()),
+            send(2, 2, release_msg.clone()),
+            send(299, 2, release_msg),
+            send(
+                1,
+                2,
+                Body::Transfer {
+                    arbiter: SiteId(0),
+                    beneficiary: Timestamp::new(2, SiteId(2)),
+                    holder_req: to_1,
+                },
+            ),
+        ];
+        assert_eq!(sends, expected);
+        for (to, m) in sends {
+            inflight.push_back((SiteId(0), to, m));
+        }
+        settle(&mut sites, &mut inflight);
+        for next in [1u32, 2] {
+            assert!(sites[next as usize].in_cs(), "S{next} is next in line");
+            release(&mut sites, next, &mut inflight);
+            settle(&mut sites, &mut inflight);
+            assert_buffers_handed_back(&sites[next as usize]);
+        }
+
+        // The former holder's next request goes out exactly as before.
+        let sends = sends_of(|fx| sites[0].request_cs(fx));
+        assert_eq!(sends, requests_of_site_0(3));
+        for (to, m) in sends {
+            inflight.push_back((SiteId(0), to, m));
+        }
+        settle(&mut sites, &mut inflight);
+        assert!(sites[0].in_cs());
+    }
+
+    #[test]
+    fn abort_hands_back_per_request_buffers() {
+        let mut sites = spill_net();
+        let mut inflight = VecDeque::new();
+        // 0's request to arbiter 1 is held back: 0 waits holding the
+        // permissions of 0, 2 and 299.
+        request(&mut sites, 0, &mut inflight);
+        let held = inflight
+            .iter()
+            .position(|(_, to, _)| *to == SiteId(1))
+            .expect("request to arbiter 1");
+        let held = inflight.remove(held).expect("held message");
+        settle(&mut sites, &mut inflight);
+        assert!(sites[0].wants_cs());
+        // 5 then 4 queue at the arbiters 0 holds; 4 outranks 5, so each of
+        // them sends 0 a second transfer.
+        request(&mut sites, 5, &mut inflight);
+        request(&mut sites, 4, &mut inflight);
+        settle(&mut sites, &mut inflight);
+        assert!(sites[0].wants_cs());
+        assert_repeated_transfers(&sites[0]);
+
+        let sends = sends_of(|fx| assert!(sites[0].abort_cs(fx)));
+        assert_buffers_handed_back(&sites[0]);
+        // An abandon per member, then arbiter 0 granting its freed lock
+        // to 4 with a transfer naming 5.
+        let abandon = Body::Abandon {
+            req: Timestamp::new(1, SiteId(0)),
+        };
+        let expected = vec![
+            send(1, 1, abandon.clone()),
+            send(2, 1, abandon.clone()),
+            send(299, 1, abandon),
+            send(
+                4,
+                1,
+                Body::Reply {
+                    arbiter: SiteId(0),
+                    req: Timestamp::new(1, SiteId(4)),
+                    transfer: Some(Timestamp::new(1, SiteId(5))),
+                },
+            ),
+        ];
+        assert_eq!(sends, expected);
+        inflight.push_back(held);
+        for (to, m) in sends {
+            inflight.push_back((SiteId(0), to, m));
+        }
+        settle(&mut sites, &mut inflight);
+
+        assert_buffers_handed_back(&sites[0]);
+        let sends = sends_of(|fx| sites[0].request_cs(fx));
+        assert_eq!(sends, requests_of_site_0(2));
     }
 }

@@ -154,6 +154,13 @@ impl SiteSet {
         })
     }
 
+    /// Words of heap capacity the set holds (0 until an id ≥ 256 was
+    /// inserted).
+    #[cfg(test)]
+    pub(crate) fn spill_capacity(&self) -> usize {
+        self.spill.capacity()
+    }
+
     /// Copies the set into an ordered `BTreeSet` for API boundaries that
     /// observe ordered-set semantics (e.g. [`crate::QuorumSource`]).
     #[must_use]
@@ -171,9 +178,12 @@ impl Default for SiteSet {
 impl FromIterator<SiteId> for SiteSet {
     fn from_iter<I: IntoIterator<Item = SiteId>>(iter: I) -> Self {
         let mut s = SiteSet::new();
-        for site in iter {
-            s.insert(site);
-        }
+        s.extend(iter);
+        // Growing one insert at a time doubles the spill's capacity; a
+        // collected set is usually a long-lived quorum, so trim the spill
+        // to the words in use (153 instead of 256 for a grid quorum at
+        // N = 10⁴). No-op, and no allocation, for an unspilled set.
+        s.spill.shrink_to_fit();
         s
     }
 }
@@ -273,6 +283,23 @@ mod tests {
         let b = SiteSet::new();
         assert_eq!(a.iter().count(), b.iter().count());
         assert_eq!(a.len(), b.len());
+    }
+
+    #[test]
+    fn collect_trims_the_spill_to_the_highest_id() {
+        // Ids up to word 156 need 153 words of spill; inserting them in
+        // ascending order one at a time doubles the capacity to 256.
+        let top = ((INLINE_WORDS + 152) * WORD_BITS) as u32;
+        let mut ids: Vec<SiteId> = (0..=top).rev().step_by(7).map(s).collect();
+        ids.reverse();
+        let set: SiteSet = ids.iter().copied().collect();
+        assert_eq!(set.spill_capacity(), 153);
+        assert_eq!(set.len(), ids.len());
+        let mut grown = SiteSet::new();
+        grown.extend(ids.iter().copied());
+        assert_eq!(grown, set, "same words as one insert at a time");
+        let small: SiteSet = [s(3), s(200)].into_iter().collect();
+        assert_eq!(small.spill_capacity(), 0, "inline ids never spill");
     }
 
     #[test]

@@ -11,6 +11,7 @@ use qmx_core::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Jittered exponential backoff for re-issuing aborted requests.
@@ -196,14 +197,15 @@ impl<M> PayloadSlab<M> {
 
 /// Largest site count that keeps the dense `n * n` per-link FIFO clock
 /// matrix (1024² × 8 B = 8 MB). Large-N runs use a sorted map instead:
-/// only links that actually carried a message pay for an entry.
+/// only links with a message in flight pay for an entry.
 const DENSE_LINKS_MAX: usize = 1024;
 
 /// Latest scheduled delivery time per directed link (FIFO enforcement).
 enum LinkClocks {
     /// Flat `n * n` matrix indexed `from * n + to`.
     Dense(Vec<u64>),
-    /// `from * n + to` → clock, populated on first use.
+    /// `from * n + to` → clock, inserted by a send and removed by
+    /// [`LinkClocks::expire`] once the link drains.
     Sparse(BTreeMap<u64, u64>),
 }
 
@@ -214,6 +216,11 @@ impl LinkClocks {
         } else {
             LinkClocks::Sparse(BTreeMap::new())
         }
+    }
+
+    /// Sparse-map key of the `from → to` link.
+    fn key(from: SiteId, to: SiteId, n: usize) -> u64 {
+        from.index() as u64 * n as u64 + to.index() as u64
     }
 
     /// Advances the `from → to` link clock to at least `at` and returns
@@ -228,10 +235,25 @@ impl LinkClocks {
                 *link
             }
             LinkClocks::Sparse(m) => {
-                let key = from.index() as u64 * n as u64 + to.index() as u64;
-                let link = m.entry(key).or_insert(0);
+                let link = m.entry(Self::key(from, to, n)).or_insert(0);
                 *link = at.max(*link);
                 *link
+            }
+        }
+    }
+
+    /// Called when a `from → to` delivery is popped at `now`: drops the
+    /// sparse entry if no later delivery is scheduled on the link
+    /// (`clock <= now`). This is exact: any later send computes
+    /// `at = now' + delay >= now >= clock`, so the entry could never clamp
+    /// it again. The map thus holds only links with messages in flight.
+    #[inline]
+    fn expire(&mut self, from: SiteId, to: SiteId, n: usize, now: u64) {
+        if let LinkClocks::Sparse(m) = self {
+            if let Entry::Occupied(link) = m.entry(Self::key(from, to, n)) {
+                if *link.get() <= now {
+                    link.remove();
+                }
             }
         }
     }
@@ -812,6 +834,7 @@ impl<P: Protocol> Simulator<P> {
         self.now = time;
         match kind {
             EventKind::Deliver { from, to, msg } => {
+                self.link_clock.expire(from, to, self.sites.len(), time);
                 if self.states.is_crashed(to) {
                     self.metrics.count_dropped();
                     return;
@@ -1198,6 +1221,90 @@ mod tests {
         sim.schedule_request(SiteId(0), 1); // still waiting: dropped
         sim.run_to_quiescence(100_000);
         assert_eq!(sim.metrics().completed_cs(), 1);
+    }
+
+    /// Just past [`DENSE_LINKS_MAX`], so the link clocks are sparse: every
+    /// site uses quorum `{0, 300, 700, 1024, 1029}`, seven of them request
+    /// five times each, and exponential delays make the FIFO clamp bind.
+    fn sparse_link_sim() -> Simulator<DelayOptimal> {
+        let n = DENSE_LINKS_MAX as u32 + 6;
+        let quorum: Vec<SiteId> = [0, 300, 700, 1024, 1029].map(SiteId).into();
+        let mut sim = Simulator::new(
+            (0..n)
+                .map(|i| DelayOptimal::new(SiteId(i), quorum.clone(), Config::default()))
+                .collect(),
+            SimConfig {
+                delay: DelayModel::Exponential { mean: 1000 },
+                seed: 1030,
+                ..SimConfig::default()
+            },
+        );
+        for round in 0..5u64 {
+            for (k, s) in [5u32, 300, 511, 700, 900, 1024, 1029]
+                .into_iter()
+                .enumerate()
+            {
+                sim.schedule_request(SiteId(s), round * 12_000 + k as u64 * 150);
+            }
+        }
+        sim
+    }
+
+    #[test]
+    fn sparse_link_clocks_hold_only_links_in_flight() {
+        let mut sim = sparse_link_sim();
+        let n = sim.n();
+        sim.ensure_started();
+        let mut peak = 0;
+        while let Some(key) = sim.events.pop() {
+            let kind = sim.payloads.take(key.slot);
+            sim.step_event(key.time, kind);
+            // Latest in-flight delivery per link, read off the queue (drained
+            // and refilled: keys carry their seq, so the order is unchanged).
+            let mut keys = Vec::new();
+            while let Some(k) = sim.events.pop() {
+                keys.push(k);
+            }
+            let mut latest: BTreeMap<u64, u64> = BTreeMap::new();
+            for k in keys {
+                if let Some(EventKind::Deliver { from, to, .. }) =
+                    &sim.payloads.slots[k.slot as usize]
+                {
+                    let t = latest.entry(LinkClocks::key(*from, *to, n)).or_insert(0);
+                    *t = (*t).max(k.time);
+                }
+                sim.events.push(k);
+            }
+            let LinkClocks::Sparse(clocks) = &sim.link_clock else {
+                panic!("expected sparse link clocks above DENSE_LINKS_MAX");
+            };
+            // Every entry is a link in flight, at its latest delivery ...
+            for (link, clock) in clocks {
+                assert_eq!(
+                    latest.get(link),
+                    Some(clock),
+                    "link {link} at t={}",
+                    sim.now
+                );
+            }
+            // ... and no link with a later delivery lost its clock.
+            for (link, t) in &latest {
+                if *t > sim.now {
+                    assert_eq!(clocks.get(link), Some(t), "link {link} at t={}", sim.now);
+                }
+            }
+            peak = peak.max(clocks.len());
+        }
+        assert!(peak > 1, "the run never had two links busy");
+        assert!(sim.metrics().completed_cs() >= 20);
+        let LinkClocks::Sparse(clocks) = &sim.link_clock else {
+            unreachable!()
+        };
+        assert!(
+            clocks.is_empty(),
+            "{} link clocks left at quiescence",
+            clocks.len()
+        );
     }
 
     #[test]

@@ -8,6 +8,12 @@
 //! wheel): any divergence between schedulers, and any change to the
 //! counters themselves, fails loudly.
 //!
+//! A second golden pins a 2048-site contended run with exponential delays.
+//! It is the configuration where the sparse per-link FIFO clock map
+//! (above 1024 sites) is in use and the FIFO clamp actually binds, so a
+//! change to how link clocks are stored or expired shows up as a changed
+//! event count, message count or sync-delay sum.
+//!
 //! The `#[ignore]` tests are the scale smoke runs (`N = 10⁵` uncontended,
 //! `N = 10⁴` contended) exercised by CI's `large-n-smoke` job in release
 //! mode under a timeout; they are too slow for the debug-mode suite.
@@ -16,7 +22,7 @@ use qmx::core::{
     Config, DelayOptimal, Detector, DetectorConfig, Reliable, SiteId, TransportConfig,
 };
 use qmx::quorum::GridQuorumSource;
-use qmx::sim::{SchedulerKind, SimConfig, Simulator};
+use qmx::sim::{DelayModel, SchedulerKind, SimConfig, Simulator};
 
 const T: u64 = 1000;
 
@@ -109,6 +115,63 @@ fn golden_counters_n1000_detector_crash_rejoin_all_schedulers() {
     // fault-path behavior at this scale must be a conscious one.
     assert_eq!(events, 122_550);
     assert_eq!(messages, 22_390);
+}
+
+/// Runs the golden 2048-site contended scenario under one scheduler and
+/// returns `(events processed, completed CS, total messages, sum of sync
+/// delays)`.
+fn sparse_golden_run(scheduler: SchedulerKind) -> (usize, usize, u64, u64) {
+    let n = 2048usize;
+    let mut sim = Simulator::new(
+        (0..n)
+            .map(|i| {
+                DelayOptimal::with_lazy_quorum_source(
+                    SiteId(i as u32),
+                    Config::default(),
+                    Box::new(GridQuorumSource::new(n)),
+                )
+            })
+            .collect::<Vec<_>>(),
+        SimConfig {
+            delay: DelayModel::Exponential { mean: T },
+            scheduler,
+            seed: 2048,
+            ..SimConfig::default()
+        },
+    );
+    // 64 requesters spread over the grid, arriving faster than the CS
+    // can serve them: a queue builds and most entries are handovers.
+    for k in 0..64u64 {
+        sim.schedule_request(SiteId(((k * 131) % n as u64) as u32), T + k * 300);
+    }
+    let events = sim.run_to_quiescence(100_000 * T);
+    assert!(!sim.has_pending_events(), "run must drain");
+    let m = sim.metrics();
+    (
+        events,
+        m.completed_cs(),
+        m.total_messages(),
+        m.sync_delays().iter().sum(),
+    )
+}
+
+#[test]
+fn golden_counters_n2048_sparse_link_clocks_exponential_delays() {
+    let heap = sparse_golden_run(SchedulerKind::Heap);
+    for kind in [SchedulerKind::Calendar, SchedulerKind::Wheel] {
+        assert_eq!(
+            heap,
+            sparse_golden_run(kind),
+            "replay diverged under {kind:?}"
+        );
+    }
+    let (events, completed, messages, sync_sum) = heap;
+    assert_eq!(completed, 64, "every request completed");
+    // Golden counters. The FIFO clamp binds on about 1.2k sends in this
+    // run, so they also pin the per-link clock bookkeeping.
+    assert_eq!(events, 24_725);
+    assert_eq!(messages, 24_597);
+    assert_eq!(sync_sum, 133_724);
 }
 
 /// `N = 10⁵` uncontended: 100 spread-out requests over lazily constructed
