@@ -259,24 +259,33 @@ struct PendingInquire {
     transfer: Option<Timestamp>,
 }
 
-/// Permission-returning requests withheld per suspected site, indexed by
-/// site id (dense, like every other per-site structure here). Replaces a
-/// `BTreeMap<SiteId, BTreeSet<Timestamp>>`: the overwhelmingly common
-/// case — nothing withheld — costs one bounds-checked index instead of a
-/// tree probe, and each per-site list stays sorted and deduplicated so
-/// restoration flushes in the same deterministic order as before.
+/// Permission-returning requests withheld per suspected site, keyed by
+/// site id. A sorted `(site, requests)` list: it holds only the sites
+/// something is withheld from (a handful under any partition), so
+/// withholding toward site 99 999 costs one entry, not a slot per lower
+/// id. Each per-site list stays sorted and deduplicated, and no entry is
+/// ever empty, so restoration flushes in a deterministic order.
 #[derive(Clone, Default, PartialEq, Eq)]
 struct Withheld {
-    by_site: Vec<Vec<Timestamp>>,
+    by_site: Vec<(SiteId, Vec<Timestamp>)>,
 }
 
 impl Withheld {
-    fn add(&mut self, site: SiteId, req: Timestamp) {
-        let idx = site.index();
-        if idx >= self.by_site.len() {
-            self.by_site.resize(idx + 1, Vec::new());
+    const fn new() -> Self {
+        Withheld {
+            by_site: Vec::new(),
         }
-        let list = &mut self.by_site[idx];
+    }
+
+    fn add(&mut self, site: SiteId, req: Timestamp) {
+        let idx = match self.by_site.binary_search_by_key(&site, |e| e.0) {
+            Ok(idx) => idx,
+            Err(idx) => {
+                self.by_site.insert(idx, (site, Vec::new()));
+                idx
+            }
+        };
+        let list = &mut self.by_site[idx].1;
         if let Err(pos) = list.binary_search(&req) {
             list.insert(pos, req);
         }
@@ -284,35 +293,60 @@ impl Withheld {
 
     /// Takes and returns the (sorted) withheld requests for `site`, if any.
     fn take(&mut self, site: SiteId) -> Option<Vec<Timestamp>> {
-        let list = self.by_site.get_mut(site.index())?;
-        if list.is_empty() {
-            return None;
-        }
-        Some(std::mem::take(list))
-    }
-
-    fn discard(&mut self, site: SiteId) {
-        if let Some(list) = self.by_site.get_mut(site.index()) {
-            list.clear();
-        }
+        let idx = self.by_site.binary_search_by_key(&site, |e| e.0).ok()?;
+        Some(self.by_site.remove(idx).1)
     }
 }
 
-// Map-shaped Debug (only non-empty slots), so model-checker fingerprints
-// stay semantic rather than capacity-dependent.
+// Map-shaped Debug, so model-checker fingerprints stay semantic rather
+// than capacity-dependent.
 impl fmt::Debug for Withheld {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map()
-            .entries(
-                self.by_site
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, l)| !l.is_empty())
-                    .map(|(i, l)| (SiteId(i as u32), l)),
-            )
+            .entries(self.by_site.iter().map(|(site, l)| (site, l)))
             .finish()
     }
 }
+
+/// The §6 fault state of a site. Empty on a fault-free run, so it lives
+/// behind an `Option<Box<_>>` in [`Cold`] that the first suspicion,
+/// failure notice or recovery allocates; until then reads see
+/// [`NO_FAULTS`].
+#[derive(Clone, Default)]
+struct Faults {
+    /// Sites currently considered unreachable: every *suspected* site
+    /// (revocable, detector hearsay) plus every *confirmed-failed* one.
+    /// Gates message routing and quorum selection only — a merely
+    /// suspected site never loses a lock it holds, because the suspicion
+    /// may be false while it is inside the CS.
+    known_failed: SiteSet,
+    /// Sites whose failure is definitive (the oracle's `failure(i)` notice
+    /// or the detector's post-lease confirmation). Only these trigger the
+    /// §6 arbiter-side cleanup that reclaims and re-grants held locks.
+    /// Always a subset of `known_failed`.
+    confirmed_failed: SiteSet,
+    /// Permission-returning messages (release/yield/relinquish) dropped at
+    /// source because the target was suspected, by target site. If the
+    /// suspicion turns out false, the target's arbiter still thinks these
+    /// requests are queued or hold its lock; on restoration a `Relinquish`
+    /// per recorded request unwedges it.
+    withheld: Withheld,
+    /// While `rejoining`: peers whose rejoin answer (`Claim`) is still
+    /// outstanding. The grace window must not close while this is
+    /// non-empty — a pre-crash holder's claim could still be in flight.
+    /// Drained by claims, peers' own rejoins, and confirmed failures
+    /// (never by mere suspicion: a partitioned-but-live holder must keep
+    /// gating the window).
+    rejoin_awaiting: SiteSet,
+}
+
+/// What every site without a fault box reads.
+static NO_FAULTS: Faults = Faults {
+    known_failed: SiteSet::new(),
+    confirmed_failed: SiteSet::new(),
+    withheld: Withheld::new(),
+    rejoin_awaiting: SiteSet::new(),
+};
 
 /// A permission return that reached the arbiter *before* it learned (via
 /// the previous holder's `release`) that the returning request had been
@@ -351,7 +385,9 @@ enum EarlyReturn {
 /// hold all `N` sites) is then a dense array of ~100-byte elements instead
 /// of several-hundred-byte ones, which is what makes iterating 10⁵ sites
 /// cache-friendly: the struct-of-arrays layout the large-N engine wants,
-/// expressed at container granularity.
+/// expressed at container granularity. The §6 fault state sits one box
+/// further out, allocated by the site's first fault, so a fault-free site
+/// holds only its queues and (once it has requested) its quorum.
 pub struct DelayOptimal {
     site: SiteId,
     clock: LamportClock,
@@ -399,11 +435,6 @@ struct Cold {
 
     // --- requester state ---
     req_set: Vec<SiteId>,
-    /// Bitset mirror of `req_set`, kept in sync by quorum (re)construction:
-    /// turns the per-reply "do I hold every permission?" scan into a few
-    /// word operations. Derived state — excluded from `Debug` (the model
-    /// checker already fingerprints `req_set`).
-    req_set_bits: SiteSet,
     replied: SiteSet,
     inq_queue: Vec<PendingInquire>,
     tran_stack: Vec<TranEntry>,
@@ -413,36 +444,13 @@ struct Cold {
     early_returns: std::collections::BTreeMap<Timestamp, EarlyReturn>,
 
     // --- fault tolerance (§6) ---
-    /// Sites currently considered unreachable: every *suspected* site
-    /// (revocable, detector hearsay) plus every *confirmed-failed* one.
-    /// Gates message routing and quorum selection only — a merely
-    /// suspected site never loses a lock it holds, because the suspicion
-    /// may be false while it is inside the CS.
-    known_failed: SiteSet,
-    /// Sites whose failure is definitive (the oracle's `failure(i)` notice
-    /// or the detector's post-lease confirmation). Only these trigger the
-    /// §6 arbiter-side cleanup that reclaims and re-grants held locks.
-    /// Always a subset of `known_failed`.
-    confirmed_failed: SiteSet,
+    /// `None` until the first fault; read through
+    /// [`DelayOptimal::faults`].
+    faults: Option<Box<Faults>>,
     quorum_source: Option<Box<dyn QuorumSource>>,
-
-    // --- failure-detector integration (suspicion / recovery) ---
-    /// Permission-returning messages (release/yield/relinquish) dropped at
-    /// source because the target was suspected, by target site. If the
-    /// suspicion turns out false, the target's arbiter still thinks these
-    /// requests are queued or hold its lock; on restoration a `Relinquish`
-    /// per recorded request unwedges it.
-    withheld: Withheld,
     /// All peers this site shares the system with (set once by the
     /// detector layer via `set_peer_universe`; empty for bare stacks).
     peer_universe: Vec<SiteId>,
-    /// While `rejoining`: peers whose rejoin answer (`Claim`) is still
-    /// outstanding. The grace window must not close while this is
-    /// non-empty — a pre-crash holder's claim could still be in flight.
-    /// Drained by claims, peers' own rejoins, and confirmed failures
-    /// (never by mere suspicion: a partitioned-but-live holder must keep
-    /// gating the window).
-    rejoin_awaiting: SiteSet,
 
     // Self-addressed messages processed synchronously (a site is a member of
     // its own quorum; granting itself must not cost wire messages).
@@ -487,15 +495,15 @@ impl fmt::Debug for DelayOptimal {
             .field("tran_stack", &self.cold.tran_stack)
             .field("inq_queue", &self.cold.inq_queue)
             .field("early_returns", &self.cold.early_returns)
-            .field("known_failed", &self.cold.known_failed)
-            .field("confirmed_failed", &self.cold.confirmed_failed)
+            .field("known_failed", &self.faults().known_failed)
+            .field("confirmed_failed", &self.faults().confirmed_failed)
             .field("inaccessible", &self.inaccessible)
             .field("want_cs", &self.want_cs)
             .field("deadline", &self.deadline)
-            .field("withheld", &self.cold.withheld)
+            .field("withheld", &self.faults().withheld)
             .field("rejoining", &self.rejoining)
             .field("peer_universe", &self.cold.peer_universe)
-            .field("rejoin_awaiting", &self.cold.rejoin_awaiting)
+            .field("rejoin_awaiting", &self.faults().rejoin_awaiting)
             .field("local_q", &self.cold.local_q)
             .finish_non_exhaustive()
     }
@@ -529,19 +537,15 @@ impl DelayOptimal {
             rejoining: false,
             cold: Box::new(Cold {
                 cfg,
-                req_set_bits: req_set.iter().copied().collect(),
                 req_set,
                 replied: SiteSet::new(),
                 inq_queue: Vec::new(),
                 tran_stack: Vec::new(),
                 req_queue: ReqQueue::new(),
                 early_returns: std::collections::BTreeMap::new(),
-                known_failed: SiteSet::new(),
-                confirmed_failed: SiteSet::new(),
+                faults: None,
                 quorum_source: None,
-                withheld: Withheld::default(),
                 peer_universe: Vec::new(),
-                rejoin_awaiting: SiteSet::new(),
                 local_q: VecDeque::new(),
             }),
         }
@@ -580,9 +584,18 @@ impl DelayOptimal {
     ) -> Self {
         let mut me = Self::new(site, vec![site], cfg);
         me.cold.req_set.clear();
-        me.cold.req_set_bits = SiteSet::new();
         me.cold.quorum_source = Some(source);
         me
+    }
+
+    /// The §6 fault state: [`NO_FAULTS`] until the first fault.
+    fn faults(&self) -> &Faults {
+        self.cold.faults.as_deref().unwrap_or(&NO_FAULTS)
+    }
+
+    /// The §6 fault state, allocated on first use.
+    fn faults_mut(&mut self) -> &mut Faults {
+        self.cold.faults.get_or_insert_with(Box::default)
     }
 
     /// This site's current quorum.
@@ -645,7 +658,7 @@ impl DelayOptimal {
                 .cold
                 .req_queue
                 .iter()
-                .any(|r| !self.cold.known_failed.contains(r.site))
+                .any(|r| !self.faults().known_failed.contains(r.site))
         {
             return Err(format!(
                 "{}: free lock with {} queued requests",
@@ -725,7 +738,7 @@ impl DelayOptimal {
         };
         if to == self.site {
             self.cold.local_q.push_back((self.site, msg));
-        } else if !self.cold.known_failed.contains(to) {
+        } else if !self.faults().known_failed.contains(to) {
             fx.send(to, msg);
         } else {
             // Messages to suspected sites are dropped at the source (§6: a
@@ -743,7 +756,7 @@ impl DelayOptimal {
                 _ => None,
             };
             if let Some(req) = returned {
-                self.cold.withheld.add(to, req);
+                self.faults_mut().withheld.add(to, req);
             }
         }
     }
@@ -793,10 +806,10 @@ impl DelayOptimal {
     /// A.2: a request arrives at this arbiter.
     fn arb_request(&mut self, ts: Timestamp, fx: &mut Effects<Msg>) {
         self.clock.observe_ts(ts);
-        if self.cold.confirmed_failed.contains(ts.site) {
+        if self.faults().confirmed_failed.contains(ts.site) {
             return; // in-flight request from a site that has since crashed
         }
-        if self.cold.known_failed.contains(ts.site) {
+        if self.faults().known_failed.contains(ts.site) {
             // Suspected but possibly alive: park the request instead of
             // granting or refusing (neither message could be delivered —
             // `route` drops traffic to suspects at source). Restoration
@@ -946,7 +959,7 @@ impl DelayOptimal {
                 // Only a *confirmed* failure voids a forward: a merely
                 // suspected beneficiary may be alive and about to enter the
                 // CS on the forwarded reply, so its grant must stand.
-                Some(b) if !self.cold.confirmed_failed.contains(b.site) => {
+                Some(b) if !self.faults().confirmed_failed.contains(b.site) => {
                     self.cold.req_queue.remove(&b);
                     match self.cold.early_returns.remove(&b) {
                         None => {
@@ -1001,12 +1014,12 @@ impl DelayOptimal {
         // (their senders may be alive — restoration grants them normally)
         // but are passed over for granting. The collect only runs when a
         // failure has actually been confirmed — never on the hot path.
-        if !self.cold.confirmed_failed.is_empty() {
+        if !self.faults().confirmed_failed.is_empty() {
             let discard: Vec<Timestamp> = self
                 .cold
                 .req_queue
                 .iter()
-                .filter(|r| self.cold.confirmed_failed.contains(r.site))
+                .filter(|r| self.faults().confirmed_failed.contains(r.site))
                 .copied()
                 .collect();
             for r in discard {
@@ -1017,7 +1030,7 @@ impl DelayOptimal {
             .cold
             .req_queue
             .iter()
-            .find(|r| !self.cold.known_failed.contains(r.site))
+            .find(|r| !self.faults().known_failed.contains(r.site))
             .copied()
         else {
             self.lock = None;
@@ -1069,11 +1082,13 @@ impl DelayOptimal {
     /// slow link cannot deliver a positive claim to a permission that has
     /// already been granted to someone else.
     fn arb_claim(&mut self, from: SiteId, holds: Option<Timestamp>, fx: &mut Effects<Msg>) {
-        self.cold.rejoin_awaiting.remove(from);
+        if let Some(faults) = self.cold.faults.as_deref_mut() {
+            faults.rejoin_awaiting.remove(from);
+        }
         let Some(req) = holds else {
             return; // answer recorded; nothing claimed
         };
-        if req.site != from || self.cold.confirmed_failed.contains(from) {
+        if req.site != from || self.faults().confirmed_failed.contains(from) {
             return;
         }
         if self.lock == Some(req) {
@@ -1138,8 +1153,18 @@ impl DelayOptimal {
         self.my_req == Some(req)
     }
 
+    /// Counting suffices: `replied ⊆ req_set` (invariant 5 of
+    /// [`DelayOptimal::check_invariants`]).
     fn has_all_replies(&self) -> bool {
-        self.cold.req_set_bits.is_subset(&self.cold.replied)
+        let Cold {
+            replied, req_set, ..
+        } = &*self.cold;
+        let all = replied.len() == req_set.len();
+        debug_assert!(
+            !all || replied.iter().all(|a| req_set.contains(&a)),
+            "replied {replied:?} is not a subset of req_set {req_set:?}"
+        );
+        all
     }
 
     /// A.6: a reply (direct or forwarded) arrives.
@@ -1373,16 +1398,17 @@ impl DelayOptimal {
     }
 
     fn refresh_quorum(&mut self) -> bool {
+        // `QuorumSource` is an API boundary with observable ordered-set
+        // semantics; the conversion runs only on a site's first request and
+        // on the failure path, and allocates nothing while no site is down.
+        let down = self.faults().known_failed.to_btree();
         let Some(source) = self.cold.quorum_source.as_mut() else {
             // Fixed quorum containing a failed member: inaccessible.
             self.inaccessible = true;
             return false;
         };
-        // `QuorumSource` is an API boundary with observable ordered-set
-        // semantics; the conversion only runs on the cold failure path.
-        match source.quorum_avoiding(self.site, &self.cold.known_failed.to_btree()) {
+        match source.quorum_avoiding(self.site, &down) {
             Some(q) => {
-                self.cold.req_set_bits = q.iter().copied().collect();
                 self.cold.req_set = q;
                 self.inaccessible = false;
                 true
@@ -1407,7 +1433,7 @@ impl DelayOptimal {
                 .cold
                 .req_set
                 .iter()
-                .any(|m| self.cold.known_failed.contains(*m));
+                .any(|m| self.faults().known_failed.contains(*m));
         }
     }
 
@@ -1422,7 +1448,7 @@ impl DelayOptimal {
                 .cold
                 .req_set
                 .iter()
-                .any(|m| self.cold.known_failed.contains(*m)))
+                .any(|m| self.faults().known_failed.contains(*m)))
             && !self.refresh_quorum()
         {
             return; // still no live quorum; stay parked
@@ -1483,7 +1509,7 @@ impl Protocol for DelayOptimal {
                 .cold
                 .req_set
                 .iter()
-                .any(|m| self.cold.known_failed.contains(*m)))
+                .any(|m| self.faults().known_failed.contains(*m)))
             && !self.refresh_quorum()
         {
             self.want_cs = true;
@@ -1509,7 +1535,7 @@ impl Protocol for DelayOptimal {
         let mut forwarded: Vec<(SiteId, Timestamp)> = Vec::new();
         if self.cold.cfg.forwarding_enabled {
             for e in stack.iter().rev() {
-                if self.cold.known_failed.contains(e.beneficiary.site) {
+                if self.faults().known_failed.contains(e.beneficiary.site) {
                     continue; // §6 case 2: dead beneficiaries are purged
                 }
                 if self.cold.replied.remove(e.arbiter) {
@@ -1601,12 +1627,13 @@ impl Protocol for DelayOptimal {
     /// here may a lock held by the failed site be reclaimed and re-granted;
     /// mere suspicion ([`Protocol::on_site_suspected`]) never does that.
     fn on_site_failure(&mut self, failed: SiteId, fx: &mut Effects<Msg>) {
-        if failed == self.site || !self.cold.confirmed_failed.insert(failed) {
+        if failed == self.site || !self.faults_mut().confirmed_failed.insert(failed) {
             return;
         }
-        self.cold.known_failed.insert(failed);
+        let faults = self.faults_mut();
+        faults.known_failed.insert(failed);
         // A confirmed-dead peer can no longer answer a rejoin.
-        self.cold.rejoin_awaiting.remove(failed);
+        faults.rejoin_awaiting.remove(failed);
 
         // --- Arbiter-side cleanup -------------------------------------
         // Case 1: the failed site's request sits in our req_queue.
@@ -1660,7 +1687,7 @@ impl Protocol for DelayOptimal {
     /// detector's confirmed [`Protocol::on_site_failure`] (or the
     /// suspect's own rejoin, which proves its old grant is abandoned).
     fn on_site_suspected(&mut self, site: SiteId, fx: &mut Effects<Msg>) {
-        if site == self.site || !self.cold.known_failed.insert(site) {
+        if site == self.site || !self.faults_mut().known_failed.insert(site) {
             return;
         }
         // Requester-side quorum reconstruction (§6 step 1). Relinquishes
@@ -1695,11 +1722,14 @@ impl Protocol for DelayOptimal {
     /// waiting on requests we no longer have, and (4) grant our own
     /// permission if it stalled parked behind the suspicion.
     fn on_site_restored(&mut self, site: SiteId, fx: &mut Effects<Msg>) {
-        if !self.cold.known_failed.remove(site) {
+        let Some(faults) = self.cold.faults.as_deref_mut() else {
+            return; // never suspected anyone
+        };
+        if !faults.known_failed.remove(site) {
             return;
         }
-        self.cold.confirmed_failed.remove(site);
-        if let Some(reqs) = self.cold.withheld.take(site) {
+        faults.confirmed_failed.remove(site);
+        if let Some(reqs) = faults.withheld.take(site) {
             for req in reqs {
                 self.route(fx, site, Body::Relinquish { req });
             }
@@ -1729,14 +1759,16 @@ impl Protocol for DelayOptimal {
         self.cold.inq_queue.retain(|p| p.arbiter != site);
 
         // Reintegrate (the withheld returns are moot: the fresh arbiter
-        // has no queue to unwedge).
-        self.cold.known_failed.remove(site);
-        self.cold.confirmed_failed.remove(site);
-        self.cold.withheld.discard(site);
+        // has no queue to unwedge). A restarted peer also has nothing to
+        // claim against our own rejoin.
+        if let Some(faults) = self.cold.faults.as_deref_mut() {
+            faults.known_failed.remove(site);
+            faults.confirmed_failed.remove(site);
+            let _ = faults.withheld.take(site);
+            faults.rejoin_awaiting.remove(site);
+        }
         self.recompute_accessibility();
         self.unpark_want(fx);
-        // A restarted peer has nothing to claim against our own rejoin.
-        self.cold.rejoin_awaiting.remove(site);
         // Purging its queued requests may also un-stall our arbiter.
         if !self.rejoining && self.lock.is_none() && !self.cold.req_queue.is_empty() {
             self.grant_next(fx);
@@ -1772,13 +1804,14 @@ impl Protocol for DelayOptimal {
     /// [`Protocol::rejoin_pending`] still reports unanswered peers).
     fn on_recover(&mut self, fx: &mut Effects<Msg>) {
         self.rejoining = true;
-        self.cold.rejoin_awaiting = self
+        let awaiting = self
             .cold
             .peer_universe
             .iter()
             .copied()
             .filter(|&p| p != self.site)
             .collect();
+        self.faults_mut().rejoin_awaiting = awaiting;
         let _ = fx;
     }
 
@@ -1786,7 +1819,9 @@ impl Protocol for DelayOptimal {
     /// the detector's grace timer expired): resume arbitration.
     fn on_rejoin_complete(&mut self, fx: &mut Effects<Msg>) {
         self.rejoining = false;
-        self.cold.rejoin_awaiting.clear();
+        if let Some(faults) = self.cold.faults.as_deref_mut() {
+            faults.rejoin_awaiting.clear();
+        }
         if self.lock.is_none() {
             // Resolve pre-crash forward chains that were parked during the
             // window: a holder that exited while we were down may have
@@ -1804,7 +1839,9 @@ impl Protocol for DelayOptimal {
                     EarlyReturn::Released { forwarded_to } => *forwarded_to,
                     _ => None,
                 })
-                .find(|t| !returned.contains(t) && !self.cold.confirmed_failed.contains(t.site));
+                .find(|t| {
+                    !returned.contains(t) && !self.faults().confirmed_failed.contains(t.site)
+                });
             if let Some(t) = tail {
                 self.cold.req_queue.remove(&t);
                 self.lock = Some(t);
@@ -1840,7 +1877,7 @@ impl Protocol for DelayOptimal {
     }
 
     fn rejoin_pending(&self) -> bool {
-        self.rejoining && !self.cold.rejoin_awaiting.is_empty()
+        self.rejoining && !self.faults().rejoin_awaiting.is_empty()
     }
 
     fn set_peer_universe(&mut self, peers: &[SiteId]) {
@@ -3150,5 +3187,145 @@ mod tests {
         assert_buffers_handed_back(&sites[0]);
         let sends = sends_of(|fx| sites[0].request_cs(fx));
         assert_eq!(sends, requests_of_site_0(2));
+    }
+
+    // ------------------------------------------------------------------
+    // §6 fault state is allocated on the first fault.
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn fault_free_contended_run_allocates_no_fault_state() {
+        // 16 sites on a 4×4 grid (quorum = own row ∪ own column), every
+        // site requesting at once, three rounds, with a peer universe set
+        // as the detector layer does.
+        let quorum = |i: u32| -> Vec<SiteId> {
+            let (row, col) = (i / 4, i % 4);
+            (0..16)
+                .filter(|&s| s / 4 == row || s % 4 == col)
+                .map(SiteId)
+                .collect()
+        };
+        let mut sites: Vec<DelayOptimal> = (0..16)
+            .map(|i| DelayOptimal::new(SiteId(i), quorum(i), Config::default()))
+            .collect();
+        let universe: Vec<SiteId> = (0..16).map(SiteId).collect();
+        for s in &mut sites {
+            s.set_peer_universe(&universe);
+        }
+        let mut inflight = VecDeque::new();
+        let mut entries = 0;
+        for _ in 0..3 {
+            for i in 0..16 {
+                request(&mut sites, i, &mut inflight);
+            }
+            settle(&mut sites, &mut inflight);
+            while let Some(holder) = sites.iter().position(DelayOptimal::in_cs) {
+                assert_eq!(in_cs_count(&sites), 1);
+                entries += 1;
+                release(&mut sites, holder as u32, &mut inflight);
+                settle(&mut sites, &mut inflight);
+                for s in &sites {
+                    s.assert_invariants();
+                    assert!(
+                        s.cold.faults.is_none(),
+                        "{}: fault state allocated",
+                        s.site()
+                    );
+                }
+            }
+        }
+        assert_eq!(entries, 48);
+        assert!(sites.iter().all(|s| s.phase() == RequesterPhase::Idle));
+    }
+
+    #[test]
+    fn first_suspicion_allocates_fault_state_with_unchanged_debug() {
+        let mut sites = net(3, &[0, 1, 2]);
+        let universe = [SiteId(0), SiteId(1), SiteId(2)];
+        for s in &mut sites {
+            s.set_peer_universe(&universe);
+        }
+        let mut inflight = VecDeque::new();
+        request(&mut sites, 0, &mut inflight);
+        settle(&mut sites, &mut inflight);
+        request(&mut sites, 1, &mut inflight);
+        settle(&mut sites, &mut inflight);
+        assert!(sites.iter().all(|s| s.cold.faults.is_none()));
+
+        // 0 suspects 2 while in its CS: its release to 2 is withheld.
+        let sends = sends_of(|fx| sites[0].on_site_suspected(SiteId(2), fx));
+        assert!(sends.is_empty());
+        assert!(sites[0].cold.faults.is_some());
+        release(&mut sites, 0, &mut inflight);
+        // Recorded before the fault state moved into its own box.
+        assert_eq!(
+            format!("{:?}", sites[0]),
+            "DelayOptimal { site: SiteId(0), cfg: Config { forwarding_enabled: true }, \
+             clock: LamportClock { last: 2 }, req_set: [SiteId(0), SiteId(1), SiteId(2)], \
+             phase: Idle, my_req: None, replied: {}, failed: false, \
+             lock: Some(Timestamp { seq: SeqNum(2), site: SiteId(1) }), \
+             req_queue: ReqQueue { set: {} }, tran_stack: [], inq_queue: [], \
+             early_returns: {}, known_failed: {SiteId(2)}, confirmed_failed: {}, \
+             inaccessible: false, want_cs: false, deadline: None, \
+             withheld: {SiteId(2): [Timestamp { seq: SeqNum(1), site: SiteId(0) }]}, \
+             rejoining: false, peer_universe: [SiteId(1), SiteId(2)], \
+             rejoin_awaiting: {}, local_q: [], .. }"
+        );
+
+        // Recovery and a failure notice fill the other fault fields.
+        sites[2].on_recover(&mut Effects::new());
+        assert!(sites[2].cold.faults.is_some());
+        sites[2].on_site_failure(SiteId(1), &mut Effects::new());
+        assert_eq!(
+            format!("{:?}", sites[2]),
+            "DelayOptimal { site: SiteId(2), cfg: Config { forwarding_enabled: true }, \
+             clock: LamportClock { last: 2 }, req_set: [SiteId(0), SiteId(1), SiteId(2)], \
+             phase: Idle, my_req: None, replied: {}, failed: false, \
+             lock: Some(Timestamp { seq: SeqNum(1), site: SiteId(0) }), \
+             req_queue: ReqQueue { set: {} }, tran_stack: [], inq_queue: [], \
+             early_returns: {}, known_failed: {SiteId(1)}, confirmed_failed: {SiteId(1)}, \
+             inaccessible: true, want_cs: false, deadline: None, withheld: {}, \
+             rejoining: true, peer_universe: [SiteId(0), SiteId(1)], \
+             rejoin_awaiting: {SiteId(0)}, local_q: [], .. }"
+        );
+    }
+
+    #[test]
+    fn restore_and_rejoin_of_unsuspected_peers_allocate_nothing() {
+        let mut sites = net(3, &[0, 1, 2]);
+        let mut fx = Effects::new();
+        sites[0].on_site_restored(SiteId(1), &mut fx);
+        sites[0].on_peer_rejoined(SiteId(2), 1, &mut fx);
+        sites[0].on_rejoin_complete(&mut fx);
+        assert!(sites[0].cold.faults.is_none());
+        sites[0].assert_invariants();
+    }
+
+    #[test]
+    fn withholding_toward_a_high_site_id_holds_one_entry() {
+        let mut w = Withheld::default();
+        let far = SiteId(99_999);
+        w.add(far, Timestamp::new(2, SiteId(0)));
+        w.add(far, Timestamp::new(1, SiteId(0)));
+        w.add(far, Timestamp::new(2, SiteId(0)));
+        w.add(SiteId(7), Timestamp::new(3, SiteId(0)));
+        assert_eq!(w.by_site.len(), 2);
+        assert!(w.by_site.capacity() <= 4, "{} slots", w.by_site.capacity());
+        assert_eq!(
+            format!("{w:?}"),
+            "{SiteId(7): [Timestamp { seq: SeqNum(3), site: SiteId(0) }], \
+             SiteId(99999): [Timestamp { seq: SeqNum(1), site: SiteId(0) }, \
+             Timestamp { seq: SeqNum(2), site: SiteId(0) }]}"
+        );
+        assert_eq!(
+            w.take(far),
+            Some(vec![
+                Timestamp::new(1, SiteId(0)),
+                Timestamp::new(2, SiteId(0))
+            ])
+        );
+        assert_eq!(w.take(far), None);
+        let _ = w.take(SiteId(7));
+        assert_eq!(format!("{w:?}"), "{}");
     }
 }

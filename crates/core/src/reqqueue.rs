@@ -4,12 +4,16 @@
 //! ordered by request priority (the [`Timestamp`] order: smaller is higher
 //! priority); the head is the next request in line for this arbiter's
 //! permission. Fault handling (§6) additionally needs removal of arbitrary
-//! entries (a failed site's request), so the queue is backed by an ordered
-//! set rather than a binary heap.
+//! entries (a failed site's request), so the queue is a sorted,
+//! duplicate-free `VecDeque` searched by binary search rather than a binary
+//! heap. Arbiter queues are short (tens of entries even under heavy
+//! contention at `N = 10⁴`), so one flat buffer per arbiter beats a tree's
+//! per-node allocations on both memory and speed.
 
 use crate::clock::Timestamp;
 use crate::protocol::SiteId;
-use std::collections::BTreeSet;
+use std::collections::VecDeque;
+use std::fmt;
 
 /// Priority queue of request timestamps with arbitrary removal.
 ///
@@ -22,9 +26,10 @@ use std::collections::BTreeSet;
 /// assert_eq!(q.pop(), Some(Timestamp::new(3, SiteId(2))));
 /// assert_eq!(q.len(), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct ReqQueue {
-    set: BTreeSet<Timestamp>,
+    /// Ascending and duplicate-free: the head is at the front.
+    set: VecDeque<Timestamp>,
 }
 
 impl ReqQueue {
@@ -35,36 +40,49 @@ impl ReqQueue {
 
     /// Inserts a request. Returns `false` if it was already queued.
     pub fn insert(&mut self, ts: Timestamp) -> bool {
-        self.set.insert(ts)
+        match self.set.binary_search(&ts) {
+            Ok(_) => false,
+            Err(pos) => {
+                self.set.insert(pos, ts);
+                true
+            }
+        }
     }
 
     /// The highest-priority pending request, if any.
     pub fn head(&self) -> Option<Timestamp> {
-        self.set.first().copied()
+        self.set.front().copied()
     }
 
     /// Removes and returns the highest-priority pending request.
     pub fn pop(&mut self) -> Option<Timestamp> {
-        self.set.pop_first()
+        let head = self.set.pop_front();
+        self.release_if_empty();
+        head
     }
 
     /// Removes a specific request. Returns `true` if it was present.
     pub fn remove(&mut self, ts: &Timestamp) -> bool {
-        self.set.remove(ts)
+        let Ok(pos) = self.set.binary_search(ts) else {
+            return false;
+        };
+        self.set.remove(pos);
+        self.release_if_empty();
+        true
     }
 
     /// Removes every request issued by `site` (fault handling), returning
     /// the removed timestamps in priority order.
     pub fn remove_site(&mut self, site: SiteId) -> Vec<Timestamp> {
-        let victims: Vec<Timestamp> = self
-            .set
-            .iter()
-            .filter(|t| t.site == site)
-            .copied()
-            .collect();
-        for v in &victims {
-            self.set.remove(v);
-        }
+        let mut victims = Vec::new();
+        self.set.retain(|t| {
+            let keep = t.site != site;
+            if !keep {
+                victims.push(*t);
+            }
+            keep
+        });
+        self.release_if_empty();
         victims
     }
 
@@ -75,7 +93,7 @@ impl ReqQueue {
 
     /// Whether this exact request is queued.
     pub fn contains(&self, ts: &Timestamp) -> bool {
-        self.set.contains(ts)
+        self.set.binary_search(ts).is_ok()
     }
 
     /// Number of queued requests.
@@ -95,27 +113,57 @@ impl ReqQueue {
 
     /// Removes all entries.
     pub fn clear(&mut self) {
-        self.set.clear();
+        self.set = VecDeque::new();
+    }
+
+    /// Gives a drained queue's buffer back: at large `N` most arbiters sit
+    /// idle after a burst, and each would otherwise keep its peak capacity.
+    fn release_if_empty(&mut self) {
+        if self.set.is_empty() {
+            self.set = VecDeque::new();
+        }
+    }
+}
+
+// Prints exactly like the derived `BTreeSet`-backed form it replaced,
+// `ReqQueue { set: {..} }`: the model checker fingerprints protocol state
+// through `Debug`.
+impl fmt::Debug for ReqQueue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Set<'a>(&'a VecDeque<Timestamp>);
+        impl fmt::Debug for Set<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_set().entries(self.0).finish()
+            }
+        }
+        f.debug_struct("ReqQueue")
+            .field("set", &Set(&self.set))
+            .finish()
     }
 }
 
 impl Extend<Timestamp> for ReqQueue {
     fn extend<I: IntoIterator<Item = Timestamp>>(&mut self, iter: I) {
-        self.set.extend(iter);
+        for ts in iter {
+            self.insert(ts);
+        }
     }
 }
 
 impl FromIterator<Timestamp> for ReqQueue {
     fn from_iter<I: IntoIterator<Item = Timestamp>>(iter: I) -> Self {
-        ReqQueue {
-            set: iter.into_iter().collect(),
-        }
+        let mut v: Vec<Timestamp> = iter.into_iter().collect();
+        v.sort_unstable();
+        v.dedup();
+        ReqQueue { set: v.into() }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     fn ts(seq: u64, site: u32) -> Timestamp {
         Timestamp::new(seq, SiteId(site))
@@ -175,5 +223,126 @@ mod tests {
         q.extend([ts(5, 1), ts(4, 2)]);
         assert_eq!(q.len(), 2);
         assert!(q.contains(&ts(4, 2)));
+    }
+
+    #[test]
+    fn drained_queue_gives_its_buffer_back() {
+        let mut q: ReqQueue = (0..40).map(|i| ts(i, 1)).collect();
+        q.remove(&ts(3, 1));
+        while q.pop().is_some() {}
+        assert_eq!(q.set.capacity(), 0);
+        q.extend([ts(1, 2), ts(2, 2)]);
+        assert_eq!(q.remove_site(SiteId(2)), vec![ts(1, 2), ts(2, 2)]);
+        assert_eq!(q.set.capacity(), 0);
+        q.insert(ts(1, 3));
+        assert!(q.remove(&ts(1, 3)));
+        assert_eq!(q.set.capacity(), 0);
+    }
+
+    /// The `BTreeSet`-backed queue this type replaced, as a reference
+    /// model: same name and field, so its derived `Debug` is the text the
+    /// model checker fingerprinted before.
+    mod model {
+        use crate::clock::Timestamp;
+        use std::collections::BTreeSet;
+
+        #[derive(Debug, Default)]
+        pub(super) struct ReqQueue {
+            pub(super) set: BTreeSet<Timestamp>,
+        }
+    }
+
+    #[test]
+    fn debug_matches_the_ordered_set_form() {
+        let q: ReqQueue = [ts(3, 2), ts(1, 7), ts(3, 1)].into_iter().collect();
+        // Recorded from the `BTreeSet`-backed queue.
+        assert_eq!(format!("{:?}", ReqQueue::new()), "ReqQueue { set: {} }");
+        assert_eq!(
+            format!("{q:?}"),
+            "ReqQueue { set: {Timestamp { seq: SeqNum(1), site: SiteId(7) }, \
+             Timestamp { seq: SeqNum(3), site: SiteId(1) }, \
+             Timestamp { seq: SeqNum(3), site: SiteId(2) }} }"
+        );
+        let m = model::ReqQueue {
+            set: q.iter().copied().collect(),
+        };
+        assert_eq!(format!("{q:#?}"), format!("{m:#?}"));
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Insert(Timestamp),
+        Remove(Timestamp),
+        Pop,
+        RemoveSite(SiteId),
+        ContainsSite(SiteId),
+        Extend(Timestamp, Timestamp),
+        Rebuild,
+    }
+
+    /// Random op scripts over a small timestamp domain, so inserts collide
+    /// and removals hit.
+    struct Script;
+
+    impl Strategy for Script {
+        type Value = Vec<Op>;
+
+        fn generate(&self, rng: &mut TestRng) -> Vec<Op> {
+            let stamp = (1u64..6, 0u32..5).prop_map(|(seq, site)| ts(seq, site));
+            let len = (0usize..80).generate(rng);
+            (0..len)
+                .map(|_| match (0u8..7).generate(rng) {
+                    0 => Op::Insert(stamp.generate(rng)),
+                    1 => Op::Remove(stamp.generate(rng)),
+                    2 => Op::Pop,
+                    3 => Op::RemoveSite(SiteId((0u32..5).generate(rng))),
+                    4 => Op::ContainsSite(SiteId((0u32..5).generate(rng))),
+                    5 => Op::Extend(stamp.generate(rng), stamp.generate(rng)),
+                    _ => Op::Rebuild,
+                })
+                .collect()
+        }
+    }
+
+    proptest! {
+        /// Every operation agrees with a `BTreeSet<Timestamp>` model, and
+        /// so does the `Debug` text after each step.
+        #[test]
+        fn matches_an_ordered_set_model(script in Script) {
+            let mut q = ReqQueue::new();
+            let mut m = model::ReqQueue::default();
+            for op in script {
+                match op {
+                    Op::Insert(t) => prop_assert_eq!(q.insert(t), m.set.insert(t)),
+                    Op::Remove(t) => prop_assert_eq!(q.remove(&t), m.set.remove(&t)),
+                    Op::Pop => prop_assert_eq!(q.pop(), m.set.pop_first()),
+                    Op::RemoveSite(site) => {
+                        let expect: Vec<Timestamp> =
+                            m.set.iter().filter(|t| t.site == site).copied().collect();
+                        m.set.retain(|t| t.site != site);
+                        prop_assert_eq!(q.remove_site(site), expect);
+                    }
+                    Op::ContainsSite(site) => prop_assert_eq!(
+                        q.contains_site(site),
+                        m.set.iter().any(|t| t.site == site)
+                    ),
+                    Op::Extend(a, b) => {
+                        q.extend([a, b]);
+                        m.set.extend([a, b]);
+                    }
+                    Op::Rebuild => {
+                        // `from_iter` over unsorted input with duplicates.
+                        q = m.set.iter().rev().chain(m.set.iter()).copied().collect();
+                    }
+                }
+                prop_assert_eq!(q.len(), m.set.len());
+                prop_assert_eq!(q.head(), m.set.first().copied());
+                prop_assert!(q.iter().eq(m.set.iter()));
+                for t in &m.set {
+                    prop_assert!(q.contains(t));
+                }
+                prop_assert_eq!(format!("{q:?}"), format!("{m:?}"));
+            }
+        }
     }
 }

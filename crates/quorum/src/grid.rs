@@ -87,14 +87,14 @@ impl GridQuorumSource {
     }
 
     /// Cells of row `i` that exist in the truncated grid.
-    fn row_cells(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+    fn row_cells(&self, i: usize) -> impl Iterator<Item = usize> + Clone + '_ {
         (0..self.c)
             .map(move |j| i * self.c + j)
             .filter(|&s| s < self.n)
     }
 
     /// Cells of column `j` that exist in the truncated grid.
-    fn col_cells(&self, j: usize) -> impl Iterator<Item = usize> + '_ {
+    fn col_cells(&self, j: usize) -> impl Iterator<Item = usize> + Clone + '_ {
         (0..self.n.div_ceil(self.c))
             .map(move |i| i * self.c + j)
             .filter(|&s| s < self.n)
@@ -108,15 +108,18 @@ impl GridQuorumSource {
         self.col_cells(j).all(|s| !down.contains(&SiteId(s as u32)))
     }
 
-    /// Sorted, duplicate-free `row(i) ∪ col(j)`.
+    /// Sorted, duplicate-free `row(i) ∪ col(j)`: the column's cells above
+    /// row `i`, the row (which holds the crossing cell), then the column's
+    /// cells below it. Allocated at its exact size, since a requester
+    /// keeps its quorum for the rest of the run.
     fn quorum(&self, i: usize, j: usize) -> Vec<SiteId> {
-        let mut q: Vec<SiteId> = self
-            .row_cells(i)
-            .chain(self.col_cells(j))
-            .map(|s| SiteId(s as u32))
-            .collect();
-        q.sort_unstable();
-        q.dedup();
+        let cells = self
+            .col_cells(j)
+            .take(i)
+            .chain(self.row_cells(i))
+            .chain(self.col_cells(j).skip(i + 1));
+        let mut q = Vec::with_capacity(cells.clone().count());
+        q.extend(cells.map(|s| SiteId(s as u32)));
         q
     }
 }
@@ -200,6 +203,26 @@ mod tests {
                 assert_eq!(q.as_slice(), sys.quorum_of(site), "n={n} site={s}");
             }
         }
+    }
+
+    #[test]
+    fn lazy_quorums_are_allocated_at_their_exact_size() {
+        let mut down = BTreeSet::new();
+        for n in [1usize, 7, 12, 60, 10_000] {
+            let mut lazy = GridQuorumSource::new(n);
+            for s in (0..n).step_by(n.div_ceil(97)) {
+                let q = lazy
+                    .quorum_avoiding(SiteId(s as u32), &down)
+                    .expect("no failures: quorum must exist");
+                assert_eq!(q.capacity(), q.len(), "n={n} site={s}");
+            }
+        }
+        // Reconstruction around a failure too.
+        down.insert(SiteId(5));
+        let q = GridQuorumSource::new(12)
+            .quorum_avoiding(SiteId(5), &down)
+            .expect("a live row and column exist");
+        assert_eq!(q.capacity(), q.len());
     }
 
     #[test]
