@@ -48,7 +48,19 @@ impl From<u64> for SeqNum {
 /// assert!(a < b); // smaller seq wins regardless of site number
 /// assert!(a < c); // equal seq: smaller site number wins
 /// ```
+///
+/// # Layout
+///
+/// `repr(C, packed(4))` stores the 8-byte sequence number and the 4-byte
+/// site id in 12 bytes instead of 16: the arbiter queues hold one
+/// timestamp per pending request, and at `N = 10⁴` under contention they
+/// are the largest block of protocol memory. The field order (and so the
+/// derived `Ord`, `Eq`, `Hash` and `Debug`) is unchanged. No `unsafe` is
+/// involved: the derives copy the fields out, and rustc rejects any
+/// reference to a packed field (E0793), so code that would borrow `seq`
+/// or `site` must copy it first (`{ ts.seq }`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[repr(C, packed(4))]
 pub struct Timestamp {
     /// Lamport sequence number of the request.
     pub seq: SeqNum,
@@ -75,7 +87,8 @@ impl Timestamp {
 
 impl fmt::Display for Timestamp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "({},{})", self.seq, self.site)
+        let Timestamp { seq, site } = *self;
+        write!(f, "({seq},{site})")
     }
 }
 

@@ -382,7 +382,7 @@ enum EarlyReturn {
 /// The struct keeps only the per-step scalars inline — the fields every
 /// `step`/`on_msg` dispatch reads — and banishes the collections behind one
 /// `Cold` box. A `Vec<DelayOptimal>` (how the simulator and the checker
-/// hold all `N` sites) is then a dense array of ~100-byte elements instead
+/// hold all `N` sites) is then a dense array of 104-byte elements instead
 /// of several-hundred-byte ones, which is what makes iterating 10⁵ sites
 /// cache-friendly: the struct-of-arrays layout the large-N engine wants,
 /// expressed at container granularity. The §6 fault state sits one box
@@ -523,6 +523,16 @@ impl DelayOptimal {
         assert!(!req_set.is_empty(), "quorum must be non-empty");
         let uniq: BTreeSet<SiteId> = req_set.iter().copied().collect();
         assert_eq!(uniq.len(), req_set.len(), "quorum contains duplicates");
+        Self::build(site, req_set, cfg, None)
+    }
+
+    /// The fields of a fresh site, without `new`'s quorum checks.
+    fn build(
+        site: SiteId,
+        req_set: Vec<SiteId>,
+        cfg: Config,
+        quorum_source: Option<Box<dyn QuorumSource>>,
+    ) -> Self {
         DelayOptimal {
             site,
             clock: LamportClock::new(),
@@ -544,7 +554,7 @@ impl DelayOptimal {
                 req_queue: ReqQueue::new(),
                 early_returns: std::collections::BTreeMap::new(),
                 faults: None,
-                quorum_source: None,
+                quorum_source,
                 peer_universe: Vec::new(),
                 local_q: VecDeque::new(),
             }),
@@ -576,16 +586,14 @@ impl DelayOptimal {
     /// memory up front (gigabytes at `N = 10⁵`). A lazily-initialized site
     /// starts with an empty `req_set` and pulls its quorum from `source`
     /// on the first request — wire behavior is identical, because a site
-    /// that never requests never consults its quorum.
+    /// that never requests never consults its quorum. Built directly, so a
+    /// site costs its `Cold` box and nothing else.
     pub fn with_lazy_quorum_source(
         site: SiteId,
         cfg: Config,
         source: Box<dyn QuorumSource>,
     ) -> Self {
-        let mut me = Self::new(site, vec![site], cfg);
-        me.cold.req_set.clear();
-        me.cold.quorum_source = Some(source);
-        me
+        Self::build(site, Vec::new(), cfg, Some(source))
     }
 
     /// The §6 fault state: [`NO_FAULTS`] until the first fault.
@@ -2150,7 +2158,7 @@ mod tests {
         // Clock still observed the piggybacked value (Lamport).
         let mut fx = Effects::new();
         s.request_cs(&mut fx);
-        assert!(s.current_request().unwrap().seq > SeqNum(100));
+        assert!({ s.current_request().unwrap().seq } > SeqNum(100));
     }
 
     #[test]
@@ -2997,6 +3005,44 @@ mod tests {
             .kind(),
             MsgKind::Release
         );
+    }
+
+    /// These sizes are the large-N memory budget: a simulator holds one
+    /// `DelayOptimal` per site and one `Msg` per message in flight, and
+    /// each arbiter queues one `Timestamp` per pending request. At
+    /// `N = 10⁴`–`10⁵` every byte here is paid per site or per event.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn hot_types_fit_the_large_n_memory_budget() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Timestamp>(), 12);
+        assert_eq!(size_of::<Option<Timestamp>>(), 16);
+        assert_eq!(size_of::<Msg>(), 48);
+        assert_eq!(size_of::<DelayOptimal>(), 104);
+    }
+
+    #[test]
+    fn lazy_site_starts_without_a_quorum_and_pulls_it_on_request() {
+        let source = crate::protocol::StaticQuorums::new(vec![vec![SiteId(7)]; 8]);
+        let mut s =
+            DelayOptimal::with_lazy_quorum_source(SiteId(7), Config::default(), Box::new(source));
+        // Recorded from the site built through `new(site, vec![site])`
+        // and then cleared.
+        assert_eq!(
+            format!("{s:?}"),
+            "DelayOptimal { site: SiteId(7), cfg: Config { forwarding_enabled: true }, \
+             clock: LamportClock { last: 0 }, req_set: [], phase: Idle, my_req: None, \
+             replied: {}, failed: false, lock: None, req_queue: ReqQueue { set: {} }, \
+             tran_stack: [], inq_queue: [], early_returns: {}, known_failed: {}, \
+             confirmed_failed: {}, inaccessible: false, want_cs: false, deadline: None, \
+             withheld: {}, rejoining: false, peer_universe: [], rejoin_awaiting: {}, \
+             local_q: [], .. }"
+        );
+        assert_eq!(s.cold.req_set.capacity(), 0, "no quorum buffer until used");
+        let mut fx = Effects::new();
+        s.request_cs(&mut fx);
+        assert_eq!(s.req_set(), &[SiteId(7)]);
+        assert!(s.in_cs());
     }
 
     #[test]

@@ -27,7 +27,7 @@ const INLINE_WORDS: usize = 4;
 /// ascending id order), but membership tests, inserts and removals are
 /// O(1) word operations and the common small-universe case stores
 /// everything inline.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone, Eq)]
 pub struct SiteSet {
     /// Inline storage for the first `INLINE_WORDS * 64` site ids.
     inline: [u64; INLINE_WORDS],
@@ -167,6 +167,23 @@ impl SiteSet {
     }
 }
 
+// Set equality, not representation equality: `remove` zeroes a spill
+// word but keeps it, so a missing word compares like a zero one.
+impl PartialEq for SiteSet {
+    fn eq(&self, other: &Self) -> bool {
+        let (long, short) = if self.spill.len() >= other.spill.len() {
+            (&self.spill, &other.spill)
+        } else {
+            (&other.spill, &self.spill)
+        };
+        let (head, tail) = long.split_at(short.len());
+        self.len == other.len
+            && self.inline == other.inline
+            && head == short.as_slice()
+            && tail.iter().all(|&w| w == 0)
+    }
+}
+
 impl Default for SiteSet {
     fn default() -> Self {
         SiteSet::new()
@@ -275,17 +292,29 @@ mod tests {
 
     #[test]
     fn equality_ignores_spill_capacity() {
-        // Equality must be semantic: a set whose spill vec was allocated
-        // and then emptied equals one that never spilled... as long as the
-        // words agree. (We keep representation equality here: removing a
-        // spilled bit zeroes the word but keeps the vec, so compare via
-        // iteration order too.)
+        // A set whose spill was allocated and then emptied equals one
+        // that never spilled: removing a spilled bit zeroes the word but
+        // keeps it.
         let mut a = SiteSet::new();
         a.insert(s(300));
         a.remove(s(300));
         let b = SiteSet::new();
-        assert_eq!(a.iter().count(), b.iter().count());
-        assert_eq!(a.len(), b.len());
+        assert_eq!(format!("{a:?}"), "{}");
+        assert_eq!(a, b);
+        assert_eq!(b, a);
+        // Same members, spills of different lengths.
+        let mut c: SiteSet = [s(3), s(290)].into_iter().collect();
+        c.insert(s(900));
+        c.remove(s(900));
+        let d: SiteSet = [s(3), s(290)].into_iter().collect();
+        assert_eq!(c, d);
+        assert_eq!(d, c);
+        // Different members still differ, in the inline words, in the
+        // shared spill words and in a longer spill.
+        assert_ne!(d, [s(4), s(290)].into_iter().collect::<SiteSet>());
+        assert_ne!(d, [s(3), s(291)].into_iter().collect::<SiteSet>());
+        assert_ne!(d, [s(3), s(290), s(900)].into_iter().collect::<SiteSet>());
+        assert_ne!(a, [s(300)].into_iter().collect::<SiteSet>());
     }
 
     #[test]

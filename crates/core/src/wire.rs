@@ -15,7 +15,9 @@
 //! types the live stack sends:
 //! [`HbMsg`]`<`[`Packet`]`<`[`ResMsg`]`<`[`Msg`]`>>>` and its layers, plus
 //! the primitives they are built from. Each impl is a direct transcription
-//! of the struct/enum definition; round-trip tests pin every variant.
+//! of the struct/enum definition; round-trip tests cover every variant, and
+//! golden byte strings pin the format of every `Body` variant and of one
+//! full stack frame.
 //!
 //! Decoding is strict: [`Wire::from_bytes`] rejects trailing bytes, length
 //! prefixes are validated against the bytes actually present *before* any
@@ -279,8 +281,9 @@ impl Wire for SeqNum {
 
 impl Wire for Timestamp {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.seq.encode(out);
-        self.site.encode(out);
+        let Timestamp { seq, site } = *self;
+        seq.encode(out);
+        site.encode(out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(Timestamp {
@@ -605,6 +608,71 @@ mod tests {
             // the debug rendering, which covers every field.
             assert_eq!(format!("{back:?}"), format!("{wire:?}"));
         }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The bytes of every [`all_bodies`] variant as a `Msg` with clock 77.
+    /// Round trips cannot catch a change to encode and decode together
+    /// (a field reordered, a width changed); these pin the format itself.
+    const BODY_GOLDEN: [&str; 13] = [
+        "4d0000000000000000030000000000000001000000",
+        "4d00000000000000010200000004000000000000000000000000",
+        "4d00000000000000010200000004000000000000000000000001090000000000000005000000",
+        "4d000000000000000207000000000000000200000001080000000000000003000000",
+        "4d000000000000000207000000000000000200000000",
+        "4d00000000000000030000000001000000000000000100000001020000000000000002000000",
+        "4d0000000000000004030000000b0000000000000004000000",
+        "4d00000000000000050c0000000000000000000000",
+        "4d0000000000000006010000000d00000000000000060000000a0000000000000007000000",
+        "4d00000000000000070e0000000000000008000000",
+        "4d00000000000000080f0000000000000000000000",
+        "4d000000000000000900",
+        "4d000000000000000901100000000000000002000000",
+    ];
+
+    #[test]
+    fn every_body_variant_encodes_to_its_golden_bytes() {
+        let bodies = all_bodies();
+        assert_eq!(bodies.len(), BODY_GOLDEN.len());
+        for (body, golden) in bodies.into_iter().zip(BODY_GOLDEN) {
+            let msg = Msg {
+                clk: SeqNum(77),
+                body,
+            };
+            assert_eq!(hex(&msg.to_bytes()), golden, "{msg:?}");
+        }
+    }
+
+    #[test]
+    fn full_stack_frame_encodes_to_its_golden_bytes() {
+        // Every field distinct and multi-byte where it can be, so a swap
+        // of two fields or of byte order shows.
+        let wire: StackMsg = HbMsg::App(Packet::Data {
+            epoch: (7 << 32) + 1,
+            seq: 42,
+            ack_epoch: 3,
+            ack: 41,
+            payload: Arc::new(ResMsg {
+                rid: ResourceId(9),
+                body: Msg {
+                    clk: SeqNum(100),
+                    body: Body::Transfer {
+                        arbiter: SiteId(1),
+                        beneficiary: ts(0x0102_0304_0506_0708, 0x0a0b_0c0d),
+                        holder_req: ts(u64::MAX, u32::MAX),
+                    },
+                },
+            }),
+        });
+        assert_eq!(
+            hex(&wire.to_bytes()),
+            "020001000000070000002a00000000000000030000000000000029000000000000000900\
+             00006400000000000000060100000008070605040302010d0c0b0affffffffffffffffff\
+             ffffff"
+        );
     }
 
     #[test]

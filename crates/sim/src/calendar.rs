@@ -506,16 +506,24 @@ pub enum EventQueue<T> {
 }
 
 impl<T: Timed + Ord> EventQueue<T> {
-    /// Creates the selected scheduler with room for `capacity` items.
-    pub fn new(kind: SchedulerKind, capacity: usize) -> Self {
+    /// Creates the selected scheduler, empty: its storage grows with use.
+    pub fn new(kind: SchedulerKind) -> Self {
         match kind {
-            SchedulerKind::Heap => EventQueue::Heap(HeapScheduler::with_capacity(capacity)),
-            SchedulerKind::Calendar => {
-                EventQueue::Calendar(CalendarScheduler::with_capacity(capacity))
-            }
+            SchedulerKind::Heap => EventQueue::Heap(HeapScheduler::with_capacity(0)),
+            SchedulerKind::Calendar => EventQueue::Calendar(CalendarScheduler::with_capacity(0)),
             SchedulerKind::Wheel => {
-                EventQueue::Wheel(crate::timer_wheel::WheelScheduler::with_capacity(capacity))
+                EventQueue::Wheel(crate::timer_wheel::WheelScheduler::with_capacity(0))
             }
+        }
+    }
+
+    /// Items the scheduler's storage holds before it reallocates.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        match self {
+            EventQueue::Heap(q) => q.heap.capacity(),
+            EventQueue::Calendar(q) => q.slots.capacity(),
+            EventQueue::Wheel(q) => q.capacity(),
         }
     }
 }
@@ -663,8 +671,8 @@ mod tests {
             })
             .collect();
         for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-            let mut pushed = EventQueue::new(kind, 16);
-            let mut loaded = EventQueue::new(kind, 16);
+            let mut pushed = EventQueue::new(kind);
+            let mut loaded = EventQueue::new(kind);
             for &it in &items {
                 pushed.push(it);
             }
@@ -677,7 +685,7 @@ mod tests {
     #[test]
     fn bulk_load_on_top_of_existing_items_keeps_order() {
         for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-            let mut q = EventQueue::new(kind, 4);
+            let mut q = EventQueue::new(kind);
             q.push(Item { time: 900, seq: 1 });
             q.push(Item { time: 100, seq: 2 });
             q.bulk_load((3..200).map(|seq| Item { time: seq * 7, seq }).collect());

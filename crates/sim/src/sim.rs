@@ -160,15 +160,16 @@ impl Timed for EventKey {
 /// list first), the pop that consumes the key takes the payload back and
 /// recycles the slot — so steady state allocates nothing, and slab
 /// capacity tracks the *peak* event population, not the event count.
+/// It starts empty and grows with use, like the scheduler's storage.
 struct PayloadSlab<M> {
     slots: Vec<Option<EventKind<M>>>,
     free: Vec<u32>,
 }
 
 impl<M> PayloadSlab<M> {
-    fn with_capacity(capacity: usize) -> Self {
+    fn new() -> Self {
         PayloadSlab {
-            slots: Vec::with_capacity(capacity),
+            slots: Vec::new(),
             free: Vec::new(),
         }
     }
@@ -337,13 +338,8 @@ impl<P: Protocol> Simulator<P> {
             cfg,
             now: 0,
             seq: 0,
-            // Steady state keeps roughly one in-flight message per quorum
-            // member per contender plus timers; 16n absorbs bursts without
-            // ever reallocating in the experiments under study. Capped so
-            // a 10⁵-site simulator does not pre-commit tens of megabytes
-            // the (mostly uncontended) run never touches.
-            events: EventQueue::new(scheduler, 64 + (16 * n).min(1 << 16)),
-            payloads: PayloadSlab::with_capacity(64 + (16 * n).min(1 << 16)),
+            events: EventQueue::new(scheduler),
+            payloads: PayloadSlab::new(),
             link_clock: LinkClocks::new(n),
             states: SiteStates::new(n),
             pristine: BTreeMap::new(),
@@ -2048,6 +2044,56 @@ mod tests {
         assert_eq!(sim.metrics().aborts().deadline_aborts, 4);
         assert!(!sim.site(SiteId(0)).wants_cs());
         assert!(!sim.has_pending_events());
+    }
+
+    /// Event storage starts small and grows with use: a 10⁴-site
+    /// simulator reserves what a 1-site one does.
+    #[test]
+    fn event_storage_does_not_scale_with_the_site_count() {
+        let lazy = |n: usize, scheduler| {
+            let sites = (0..n as u32)
+                .map(|i| {
+                    DelayOptimal::with_lazy_quorum_source(
+                        SiteId(i),
+                        Config::default(),
+                        Box::new(qmx_quorum::GridQuorumSource::new(n)),
+                    )
+                })
+                .collect();
+            Simulator::new(
+                sites,
+                SimConfig {
+                    scheduler,
+                    ..SimConfig::default()
+                },
+            )
+        };
+        for scheduler in [
+            SchedulerKind::Heap,
+            SchedulerKind::Calendar,
+            SchedulerKind::Wheel,
+        ] {
+            let one = lazy(1, scheduler);
+            let mut big = lazy(10_000, scheduler);
+            assert_eq!(
+                big.events.capacity(),
+                one.events.capacity(),
+                "{scheduler:?}"
+            );
+            assert_eq!(
+                big.payloads.slots.capacity(),
+                one.payloads.slots.capacity(),
+                "{scheduler:?}"
+            );
+            let arrivals: Vec<(SiteId, u64)> = (0..64u32)
+                .map(|i| (SiteId(i * 150), u64::from(i)))
+                .collect();
+            big.schedule_requests(&arrivals);
+            assert!(big.events.capacity() >= 64, "{scheduler:?}");
+            big.run_to_quiescence(u64::MAX / 2);
+            assert!(big.payloads.slots.capacity() >= 64, "{scheduler:?}");
+            assert_eq!(big.metrics().completed_cs(), 64, "{scheduler:?}");
+        }
     }
 
     #[test]

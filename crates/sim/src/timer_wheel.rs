@@ -125,6 +125,12 @@ impl<T: Timed + Ord> WheelScheduler<T> {
         }
     }
 
+    /// Items the arena holds before it reallocates.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.slots.capacity()
+    }
+
     /// Allocates an arena slot for `item` and returns its index.
     #[inline]
     fn alloc(&mut self, item: T) -> u32 {
