@@ -259,6 +259,37 @@ struct PendingInquire {
     transfer: Option<Timestamp>,
 }
 
+/// The requester half of a site's collections (§3.1). Needed only between
+/// a request and its release, so it lives behind an `Option<Box<_>>` in
+/// [`Cold`] that `begin_request` allocates and `end_request` drops; an
+/// idle site reads [`IDLE`].
+#[derive(Clone, Default)]
+struct Requester {
+    replied: SiteSet,
+    inq_queue: Vec<PendingInquire>,
+    tran_stack: Vec<TranEntry>,
+}
+
+/// What every site without an outstanding request reads.
+static IDLE: Requester = Requester {
+    replied: SiteSet::new(),
+    inq_queue: Vec::new(),
+    tran_stack: Vec::new(),
+};
+
+/// Whether a site keeps its `req_set` between requests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum QuorumHold {
+    /// Given at construction and always kept.
+    Kept,
+    /// Lazy and never pulled: an empty `req_set` means "not yet needed".
+    Lazy,
+    /// Lazy, and the last request's fault-free quorum was dropped when it
+    /// ended: an empty `req_set` stands for that quorum, which the source
+    /// (a pure function of `(site, down)`) returns again for `down = ∅`.
+    Released,
+}
+
 /// Permission-returning requests withheld per suspected site, keyed by
 /// site id. A sorted `(site, requests)` list: it holds only the sites
 /// something is withheld from (a handful under any partition), so
@@ -385,9 +416,11 @@ enum EarlyReturn {
 /// hold all `N` sites) is then a dense array of 104-byte elements instead
 /// of several-hundred-byte ones, which is what makes iterating 10⁵ sites
 /// cache-friendly: the struct-of-arrays layout the large-N engine wants,
-/// expressed at container granularity. The §6 fault state sits one box
-/// further out, allocated by the site's first fault, so a fault-free site
-/// holds only its queues and (once it has requested) its quorum.
+/// expressed at container granularity. Two boxes sit one level further
+/// out: the requester collections, allocated by a request and dropped
+/// when it ends, and the §6 fault state, allocated by the site's first
+/// fault. An idle fault-free site thus holds only its arbiter state (and,
+/// unless it is lazy, its quorum).
 pub struct DelayOptimal {
     site: SiteId,
     clock: LamportClock,
@@ -432,12 +465,12 @@ pub struct DelayOptimal {
 #[derive(Clone)]
 struct Cold {
     cfg: Config,
+    hold: QuorumHold,
 
     // --- requester state ---
     req_set: Vec<SiteId>,
-    replied: SiteSet,
-    inq_queue: Vec<PendingInquire>,
-    tran_stack: Vec<TranEntry>,
+    /// `None` while idle; read through [`DelayOptimal::rq`].
+    rq: Option<Box<Requester>>,
 
     // --- arbiter state ---
     req_queue: ReqQueue,
@@ -453,8 +486,20 @@ struct Cold {
     peer_universe: Vec<SiteId>,
 
     // Self-addressed messages processed synchronously (a site is a member of
-    // its own quorum; granting itself must not cost wire messages).
+    // its own quorum; granting itself must not cost wire messages). Empty
+    // between events; its buffer is borrowed from `SPARE_LOCAL_Q`.
     local_q: VecDeque<(SiteId, Msg)>,
+}
+
+thread_local! {
+    /// The buffer of whichever site is pumping self-addressed messages on
+    /// this thread. A site takes it on its first self-send and `pump`
+    /// hands it back once drained, so idle sites hold no queue buffer and
+    /// a pump allocates only when a queue outgrows every earlier one.
+    /// Pumps do not nest across sites, so the buffer is free whenever a
+    /// site asks; one that found it taken would just allocate its own.
+    static SPARE_LOCAL_Q: std::cell::Cell<VecDeque<(SiteId, Msg)>> =
+        const { std::cell::Cell::new(VecDeque::new()) };
 }
 
 impl Clone for DelayOptimal {
@@ -488,12 +533,12 @@ impl fmt::Debug for DelayOptimal {
             .field("req_set", &self.cold.req_set)
             .field("phase", &self.phase)
             .field("my_req", &self.my_req)
-            .field("replied", &self.cold.replied)
+            .field("replied", &self.rq().replied)
             .field("failed", &self.failed)
             .field("lock", &self.lock)
             .field("req_queue", &self.cold.req_queue)
-            .field("tran_stack", &self.cold.tran_stack)
-            .field("inq_queue", &self.cold.inq_queue)
+            .field("tran_stack", &self.rq().tran_stack)
+            .field("inq_queue", &self.rq().inq_queue)
             .field("early_returns", &self.cold.early_returns)
             .field("known_failed", &self.faults().known_failed)
             .field("confirmed_failed", &self.faults().confirmed_failed)
@@ -526,7 +571,8 @@ impl DelayOptimal {
         Self::build(site, req_set, cfg, None)
     }
 
-    /// The fields of a fresh site, without `new`'s quorum checks.
+    /// The fields of a fresh site, without `new`'s quorum checks. An empty
+    /// `req_set` makes the site lazy.
     fn build(
         site: SiteId,
         req_set: Vec<SiteId>,
@@ -547,10 +593,13 @@ impl DelayOptimal {
             rejoining: false,
             cold: Box::new(Cold {
                 cfg,
+                hold: if req_set.is_empty() {
+                    QuorumHold::Lazy
+                } else {
+                    QuorumHold::Kept
+                },
                 req_set,
-                replied: SiteSet::new(),
-                inq_queue: Vec::new(),
-                tran_stack: Vec::new(),
+                rq: None,
                 req_queue: ReqQueue::new(),
                 early_returns: std::collections::BTreeMap::new(),
                 faults: None,
@@ -565,11 +614,7 @@ impl DelayOptimal {
     /// `source` (§6): when a quorum member fails, the site asks `source` for
     /// a replacement quorum avoiding all known-failed sites and restarts its
     /// pending request against it.
-    pub fn with_quorum_source(
-        site: SiteId,
-        cfg: Config,
-        mut source: Box<dyn QuorumSource>,
-    ) -> Self {
+    pub fn with_quorum_source(site: SiteId, cfg: Config, source: Box<dyn QuorumSource>) -> Self {
         let req_set = source
             .quorum_avoiding(site, &BTreeSet::new())
             .expect("initial quorum must exist");
@@ -588,6 +633,13 @@ impl DelayOptimal {
     /// on the first request — wire behavior is identical, because a site
     /// that never requests never consults its quorum. Built directly, so a
     /// site costs its `Cold` box and nothing else.
+    ///
+    /// While the site has seen no fault, it also drops its quorum when a
+    /// request ends and pulls it again for the next one: the source is a
+    /// pure function of `(site, down)`, so the same quorum comes back. The
+    /// first suspicion, failure notice or recovery re-pulls a dropped
+    /// quorum before acting on it, so §6 reconstruction starts from the
+    /// quorum the site last used, as if it had been kept.
     pub fn with_lazy_quorum_source(
         site: SiteId,
         cfg: Config,
@@ -601,12 +653,34 @@ impl DelayOptimal {
         self.cold.faults.as_deref().unwrap_or(&NO_FAULTS)
     }
 
-    /// The §6 fault state, allocated on first use.
+    /// The §6 fault state, allocated on first use. A lazy site that
+    /// dropped its fault-free quorum pulls it back first, so the fault
+    /// handler sees the quorum it would have kept.
     fn faults_mut(&mut self) -> &mut Faults {
+        if self.cold.faults.is_none()
+            && self.cold.hold == QuorumHold::Released
+            && self.cold.req_set.is_empty()
+        {
+            let repulled = self.refresh_quorum();
+            debug_assert!(repulled, "a fault-free quorum was pulled before");
+        }
         self.cold.faults.get_or_insert_with(Box::default)
     }
 
-    /// This site's current quorum.
+    /// The requester collections: [`IDLE`] while no request is outstanding.
+    fn rq(&self) -> &Requester {
+        self.cold.rq.as_deref().unwrap_or(&IDLE)
+    }
+
+    /// The requester collections of the outstanding request.
+    fn rq_mut(&mut self) -> &mut Requester {
+        debug_assert_ne!(self.phase, RequesterPhase::Idle);
+        self.cold.rq.get_or_insert_with(Box::default)
+    }
+
+    /// This site's current quorum. Empty for a lazy site
+    /// ([`DelayOptimal::with_lazy_quorum_source`]) that has not needed its
+    /// quorum yet or, while fault-free, holds no request.
     pub fn req_set(&self) -> &[SiteId] {
         &self.cold.req_set
     }
@@ -680,11 +754,8 @@ impl DelayOptimal {
                 if self.my_req.is_some() {
                     return Err(format!("{}: idle but my_req set", self.site));
                 }
-                if !self.cold.replied.is_empty() {
-                    return Err(format!("{}: idle but holds permissions", self.site));
-                }
-                if !self.cold.tran_stack.is_empty() {
-                    return Err(format!("{}: idle but tran_stack non-empty", self.site));
+                if self.cold.rq.is_some() {
+                    return Err(format!("{}: idle but holds requester state", self.site));
                 }
             }
             RequesterPhase::Waiting => {
@@ -696,14 +767,17 @@ impl DelayOptimal {
                 if !self.has_all_replies() {
                     return Err(format!(
                         "{}: in CS without all permissions ({:?} of {:?})",
-                        self.site, self.cold.replied, self.cold.req_set
+                        self.site,
+                        self.rq().replied,
+                        self.cold.req_set
                     ));
                 }
             }
         }
         // 4. Transfer obligations only for permissions we actually hold.
-        for e in &self.cold.tran_stack {
-            if !self.cold.replied.contains(e.arbiter) {
+        let rq = self.rq();
+        for e in &rq.tran_stack {
+            if !rq.replied.contains(e.arbiter) {
                 return Err(format!(
                     "{}: tran_stack entry for {} without its permission",
                     self.site, e.arbiter
@@ -711,7 +785,7 @@ impl DelayOptimal {
             }
         }
         // 5. Permissions only from quorum members.
-        for a in self.cold.replied.iter() {
+        for a in rq.replied.iter() {
             if !self.cold.req_set.contains(&a) {
                 return Err(format!("{}: holds permission of non-member {a}", self.site));
             }
@@ -745,7 +819,11 @@ impl DelayOptimal {
             body,
         };
         if to == self.site {
-            self.cold.local_q.push_back((self.site, msg));
+            let q = &mut self.cold.local_q;
+            if q.capacity() == 0 {
+                *q = SPARE_LOCAL_Q.take();
+            }
+            q.push_back((self.site, msg));
         } else if !self.faults().known_failed.contains(to) {
             fx.send(to, msg);
         } else {
@@ -772,6 +850,9 @@ impl DelayOptimal {
     fn pump(&mut self, fx: &mut Effects<Msg>) {
         while let Some((from, msg)) = self.cold.local_q.pop_front() {
             self.dispatch(from, msg, fx);
+        }
+        if self.cold.local_q.capacity() != 0 {
+            SPARE_LOCAL_Q.set(std::mem::take(&mut self.cold.local_q));
         }
     }
 
@@ -1164,9 +1245,7 @@ impl DelayOptimal {
     /// Counting suffices: `replied ⊆ req_set` (invariant 5 of
     /// [`DelayOptimal::check_invariants`]).
     fn has_all_replies(&self) -> bool {
-        let Cold {
-            replied, req_set, ..
-        } = &*self.cold;
+        let (replied, req_set) = (&self.rq().replied, &self.cold.req_set);
         let all = replied.len() == req_set.len();
         debug_assert!(
             !all || replied.iter().all(|a| req_set.contains(&a)),
@@ -1196,21 +1275,21 @@ impl DelayOptimal {
         if self.phase != RequesterPhase::Waiting {
             return; // duplicate grant while already in the CS: harmless
         }
-        self.cold.replied.insert(arbiter);
+        self.rq_mut().replied.insert(arbiter);
         if let Some(b) = transfer {
             self.push_transfer(arbiter, b);
         }
         // A.6: re-examine inquires that arrived before this reply. The
         // queue is empty on the uncontended path — skip the collect then.
-        if !self.cold.inq_queue.is_empty() {
-            let deferred: Vec<PendingInquire> = self
-                .cold
+        let rq = self.rq_mut();
+        if !rq.inq_queue.is_empty() {
+            let deferred: Vec<PendingInquire> = rq
                 .inq_queue
                 .iter()
                 .filter(|p| p.arbiter == arbiter)
                 .copied()
                 .collect();
-            self.cold.inq_queue.retain(|p| p.arbiter != arbiter);
+            rq.inq_queue.retain(|p| p.arbiter != arbiter);
             for p in deferred {
                 self.req_inquire(p.arbiter, p.holder_req, p.transfer, fx);
             }
@@ -1226,13 +1305,13 @@ impl DelayOptimal {
             self.deadline = None;
             // Pending inquires are answered by the release we will send on
             // exit; the paper drops them here.
-            self.cold.inq_queue.clear();
+            self.rq_mut().inq_queue.clear();
             fx.enter_cs();
         }
     }
 
     fn push_transfer(&mut self, arbiter: SiteId, beneficiary: Timestamp) {
-        self.cold.tran_stack.push(TranEntry {
+        self.rq_mut().tran_stack.push(TranEntry {
             arbiter,
             beneficiary,
         });
@@ -1252,7 +1331,7 @@ impl DelayOptimal {
         // timestamp guard additionally rejects cross-request races).
         if !self.is_current(holder_req)
             || self.phase == RequesterPhase::Idle
-            || !self.cold.replied.contains(arbiter)
+            || !self.rq().replied.contains(arbiter)
         {
             return; // outdated transfer: discard (A.5)
         }
@@ -1275,17 +1354,17 @@ impl DelayOptimal {
             // send on exit answers the inquire. The piggybacked transfer is
             // still live — record it so exit forwards our reply.
             if let Some(b) = transfer {
-                if self.cold.replied.contains(arbiter) {
+                if self.rq().replied.contains(arbiter) {
                     self.push_transfer(arbiter, b);
                 }
             }
             return;
         }
-        if !self.cold.replied.contains(arbiter) {
+        if !self.rq().replied.contains(arbiter) {
             // Inquire outran the reply (possible: the reply may be forwarded
             // through a proxy on a different channel). Defer, keeping the
             // piggybacked transfer (re-dispatched by A.6/A.7).
-            self.cold.inq_queue.push(PendingInquire {
+            self.rq_mut().inq_queue.push(PendingInquire {
                 arbiter,
                 holder_req,
                 transfer,
@@ -1301,7 +1380,7 @@ impl DelayOptimal {
         } else {
             // Still hopeful (no fail received, no yield sent): hold on. If a
             // fail arrives later, A.7 revisits this entry and yields then.
-            self.cold.inq_queue.push(PendingInquire {
+            self.rq_mut().inq_queue.push(PendingInquire {
                 arbiter,
                 holder_req,
                 transfer: None, // transfer already recorded above
@@ -1311,11 +1390,12 @@ impl DelayOptimal {
 
     fn do_yield(&mut self, arbiter: SiteId, fx: &mut Effects<Msg>) {
         let req = self.my_req.expect("yield requires an outstanding request");
-        self.cold.replied.remove(arbiter);
+        let rq = self.rq_mut();
+        rq.replied.remove(arbiter);
+        // Transfers received on behalf of this arbiter are void: we no
+        // longer hold its permission (A.3).
+        rq.tran_stack.retain(|e| e.arbiter != arbiter);
         self.failed = true; // sending a yield sets `failed` (§3.1)
-                            // Transfers received on behalf of this arbiter are void: we no
-                            // longer hold its permission (A.3).
-        self.cold.tran_stack.retain(|e| e.arbiter != arbiter);
         self.route(fx, arbiter, Body::Yield { req });
     }
 
@@ -1327,7 +1407,7 @@ impl DelayOptimal {
         let _ = arbiter;
         self.failed = true;
         // Revisit deferred inquires: with `failed` now set they yield.
-        let deferred = std::mem::take(&mut self.cold.inq_queue);
+        let deferred = std::mem::take(&mut self.rq_mut().inq_queue);
         for p in deferred {
             self.req_inquire(p.arbiter, p.holder_req, p.transfer, fx);
         }
@@ -1353,16 +1433,18 @@ impl DelayOptimal {
         self.end_request();
     }
 
-    /// Returns the requester side to idle. The per-request buffers are
-    /// replaced, not cleared, so their capacity goes back to the
-    /// allocator: `tran_stack` keeps every superseded transfer until exit
-    /// (hundreds of entries at `K ≈ 200`) and `replied` spills past site
-    /// 255, and a site may never request again. The contents match a
-    /// `clear()`, so `Debug` output is unchanged.
+    /// Returns the requester side to idle. The requester box is dropped,
+    /// not cleared, so its buffers go back to the allocator: `tran_stack`
+    /// keeps every superseded transfer until exit (hundreds of entries at
+    /// `K ≈ 200`), `replied` spills past site 255, and a site may never
+    /// request again. An absent box reads as empty, so `Debug` output
+    /// matches a `clear()`. A fault-free lazy site drops its quorum too.
     fn end_request(&mut self) {
-        self.cold.replied = SiteSet::new();
-        self.cold.tran_stack = Vec::new();
-        self.cold.inq_queue = Vec::new();
+        self.cold.rq = None;
+        if self.cold.hold != QuorumHold::Kept && self.cold.faults.is_none() {
+            self.cold.req_set = Vec::new();
+            self.cold.hold = QuorumHold::Released;
+        }
         self.failed = false;
         self.my_req = None;
         self.phase = RequesterPhase::Idle;
@@ -1407,10 +1489,11 @@ impl DelayOptimal {
 
     fn refresh_quorum(&mut self) -> bool {
         // `QuorumSource` is an API boundary with observable ordered-set
-        // semantics; the conversion runs only on a site's first request and
-        // on the failure path, and allocates nothing while no site is down.
+        // semantics; the conversion runs only when a lazy site pulls its
+        // quorum and on the failure path, and allocates nothing while no
+        // site is down.
         let down = self.faults().known_failed.to_btree();
-        let Some(source) = self.cold.quorum_source.as_mut() else {
+        let Some(source) = self.cold.quorum_source.as_deref() else {
             // Fixed quorum containing a failed member: inaccessible.
             self.inaccessible = true;
             return false;
@@ -1472,12 +1555,8 @@ impl DelayOptimal {
             site: self.site,
         };
         // Idle is only ever entered through `end_request` (or `new`).
-        debug_assert!(
-            self.cold.replied.is_empty()
-                && self.cold.tran_stack.is_empty()
-                && self.cold.inq_queue.is_empty()
-                && !self.failed
-        );
+        debug_assert!(self.cold.rq.is_none() && !self.failed);
+        self.cold.rq = Some(Box::default());
         self.my_req = Some(ts);
         self.phase = RequesterPhase::Waiting;
         for i in 0..self.cold.req_set.len() {
@@ -1538,15 +1617,15 @@ impl Protocol for DelayOptimal {
         // `replied` with its first forward, so older entries for it find
         // it gone. Every entry's arbiter is in `replied`: `req_transfer`
         // checks it, and a yield drops the yielded arbiter's entries.
-        let stack = std::mem::take(&mut self.cold.tran_stack);
-        debug_assert!(stack.iter().all(|e| self.cold.replied.contains(e.arbiter)));
+        let mut rq = self.cold.rq.take().expect("in CS implies requester state");
+        debug_assert!(rq.tran_stack.iter().all(|e| rq.replied.contains(e.arbiter)));
         let mut forwarded: Vec<(SiteId, Timestamp)> = Vec::new();
         if self.cold.cfg.forwarding_enabled {
-            for e in stack.iter().rev() {
+            for e in rq.tran_stack.iter().rev() {
                 if self.faults().known_failed.contains(e.beneficiary.site) {
                     continue; // §6 case 2: dead beneficiaries are purged
                 }
-                if self.cold.replied.remove(e.arbiter) {
+                if rq.replied.remove(e.arbiter) {
                     self.route(
                         fx,
                         e.beneficiary.site,
@@ -1667,10 +1746,10 @@ impl Protocol for DelayOptimal {
         // --- Holder-side cleanup (§6 case 2) ---------------------------
         // Drop transfer obligations benefiting the dead site, and forget
         // permissions supposedly granted by it.
-        self.cold
-            .tran_stack
-            .retain(|e| e.beneficiary.site != failed);
-        self.cold.inq_queue.retain(|p| p.arbiter != failed);
+        if let Some(rq) = self.cold.rq.as_deref_mut() {
+            rq.tran_stack.retain(|e| e.beneficiary.site != failed);
+            rq.inq_queue.retain(|p| p.arbiter != failed);
+        }
 
         // --- Requester-side: quorum reconstruction (§6 step 1) ---------
         if self.cold.req_set.contains(&failed) && self.phase != RequesterPhase::InCs {
@@ -1763,8 +1842,10 @@ impl Protocol for DelayOptimal {
             self.grant_next(fx);
         }
         self.cold.early_returns.retain(|k, _| k.site != site);
-        self.cold.tran_stack.retain(|e| e.beneficiary.site != site);
-        self.cold.inq_queue.retain(|p| p.arbiter != site);
+        if let Some(rq) = self.cold.rq.as_deref_mut() {
+            rq.tran_stack.retain(|e| e.beneficiary.site != site);
+            rq.inq_queue.retain(|p| p.arbiter != site);
+        }
 
         // Reintegrate (the withheld returns are moot: the fresh arbiter
         // has no queue to unwedge). A restarted peer also has nothing to
@@ -1785,7 +1866,7 @@ impl Protocol for DelayOptimal {
         // Answer the resync: EVERY peer reports, even with nothing to
         // claim, because the rejoined arbiter refuses to grant until all
         // its peers have answered (see `Body::Claim`).
-        let holds = if self.phase != RequesterPhase::Idle && self.cold.replied.contains(site) {
+        let holds = if self.rq().replied.contains(site) {
             self.my_req
         } else {
             None
@@ -2463,13 +2544,12 @@ mod tests {
 
     #[test]
     fn failure_with_quorum_source_restarts_request() {
-        use crate::protocol::StaticQuorums;
         // Source that can fall back from {0,1} to {0,2}.
         #[derive(Clone)]
         struct TwoChoices;
         impl QuorumSource for TwoChoices {
             fn quorum_avoiding(
-                &mut self,
+                &self,
                 _site: SiteId,
                 down: &BTreeSet<SiteId>,
             ) -> Option<Vec<SiteId>> {
@@ -2486,7 +2566,6 @@ mod tests {
                 Box::new(self.clone())
             }
         }
-        let _ = StaticQuorums::new(vec![]); // silence unused import lint path
         let mut s =
             DelayOptimal::with_quorum_source(SiteId(0), Config::default(), Box::new(TwoChoices));
         assert_eq!(s.req_set(), &[SiteId(0), SiteId(1)]);
@@ -3019,6 +3098,9 @@ mod tests {
         assert_eq!(size_of::<Option<Timestamp>>(), 16);
         assert_eq!(size_of::<Msg>(), 48);
         assert_eq!(size_of::<DelayOptimal>(), 104);
+        // The part every site keeps; the requester half is boxed apart.
+        assert_eq!(size_of::<Cold>(), 176);
+        assert_eq!(size_of::<Requester>(), 112);
     }
 
     #[test]
@@ -3069,7 +3151,7 @@ mod tests {
 
     /// Panics unless some arbiter has two transfers pending at `s`.
     fn assert_repeated_transfers(s: &DelayOptimal) {
-        let stack = &s.cold.tran_stack;
+        let stack = &s.rq().tran_stack;
         let repeated = stack
             .iter()
             .any(|e| stack.iter().filter(|f| f.arbiter == e.arbiter).count() >= 2);
@@ -3078,9 +3160,10 @@ mod tests {
 
     fn assert_buffers_handed_back(s: &DelayOptimal) {
         assert_eq!(s.phase(), RequesterPhase::Idle);
-        assert_eq!(s.cold.tran_stack.capacity(), 0, "tran_stack kept capacity");
-        assert_eq!(s.cold.inq_queue.capacity(), 0, "inq_queue kept capacity");
-        assert_eq!(s.cold.replied.spill_capacity(), 0, "replied kept its spill");
+        assert!(s.cold.rq.is_none(), "requester box kept");
+        assert_eq!(s.rq().tran_stack.capacity(), 0, "tran_stack kept capacity");
+        assert_eq!(s.rq().inq_queue.capacity(), 0, "inq_queue kept capacity");
+        assert_eq!(s.rq().replied.spill_capacity(), 0, "replied kept its spill");
         s.assert_invariants();
     }
 
@@ -3123,7 +3206,7 @@ mod tests {
         request(&mut sites, 1, &mut inflight);
         settle(&mut sites, &mut inflight);
         assert_repeated_transfers(&sites[0]);
-        assert!(sites[0].cold.replied.spill_capacity() > 0);
+        assert!(sites[0].rq().replied.spill_capacity() > 0);
 
         let sends = sends_of(|fx| sites[0].release_cs(fx));
         assert_buffers_handed_back(&sites[0]);
@@ -3373,5 +3456,143 @@ mod tests {
         assert_eq!(w.take(far), None);
         let _ = w.take(SiteId(7));
         assert_eq!(format!("{w:?}"), "{}");
+    }
+
+    // ------------------------------------------------------------------
+    // A fault-free lazy site holds its quorum only while it requests.
+    // ------------------------------------------------------------------
+
+    /// Site `s`'s quorum is `{s, s + 1}` (mod 3), or `{s, s + 2}` while
+    /// `s + 1` is down.
+    #[derive(Clone)]
+    struct NextOrAfter;
+
+    impl QuorumSource for NextOrAfter {
+        fn quorum_avoiding(&self, site: SiteId, down: &BTreeSet<SiteId>) -> Option<Vec<SiteId>> {
+            let member = [1, 2]
+                .map(|k| SiteId((site.0 + k) % 3))
+                .into_iter()
+                .find(|m| !down.contains(m))?;
+            let mut q = vec![site, member];
+            q.sort_unstable();
+            Some(q)
+        }
+
+        fn box_clone(&self) -> Box<dyn QuorumSource> {
+            Box::new(self.clone())
+        }
+    }
+
+    fn lazy_net() -> Vec<DelayOptimal> {
+        (0..3)
+            .map(|i| {
+                DelayOptimal::with_lazy_quorum_source(
+                    SiteId(i),
+                    Config::default(),
+                    Box::new(NextOrAfter),
+                )
+            })
+            .collect()
+    }
+
+    /// Runs `f` on site `s`, returns its sends and puts them in flight.
+    fn step(
+        sites: &mut [DelayOptimal],
+        s: u32,
+        inflight: &mut VecDeque<(SiteId, SiteId, Msg)>,
+        f: impl FnOnce(&mut DelayOptimal, &mut Effects<Msg>),
+    ) -> Vec<(SiteId, Msg)> {
+        let sends = sends_of(|fx| f(&mut sites[s as usize], fx));
+        for (to, m) in &sends {
+            inflight.push_back((SiteId(s), *to, m.clone()));
+        }
+        sends
+    }
+
+    #[test]
+    fn lazy_site_suspecting_a_released_quorum_member_sends_as_if_it_kept_it() {
+        let mut sites = lazy_net();
+        let mut inflight = VecDeque::new();
+        let mut sends = Vec::new();
+        sends.push(step(&mut sites, 0, &mut inflight, |s, fx| s.request_cs(fx)));
+        settle(&mut sites, &mut inflight);
+        assert!(sites[0].in_cs());
+        sends.push(step(&mut sites, 0, &mut inflight, |s, fx| s.release_cs(fx)));
+        settle(&mut sites, &mut inflight);
+        // Idle when it first suspects a member of the quorum it used.
+        sends.push(step(&mut sites, 0, &mut inflight, |s, fx| {
+            s.on_site_suspected(SiteId(1), fx)
+        }));
+        sends.push(step(&mut sites, 0, &mut inflight, |s, fx| {
+            s.on_site_restored(SiteId(1), fx)
+        }));
+        sends.push(step(&mut sites, 0, &mut inflight, |s, fx| s.request_cs(fx)));
+        settle(&mut sites, &mut inflight);
+        assert!(sites[0].in_cs());
+        // Recorded on a tree where lazy sites kept their quorum: the
+        // suspicion moved it to {0, 2} and the restoration left it there.
+        let ts = |seq| Timestamp::new(seq, SiteId(0));
+        assert_eq!(
+            sends,
+            vec![
+                vec![send(1, 1, Body::Request { ts: ts(1) })],
+                vec![send(
+                    1,
+                    1,
+                    Body::Release {
+                        holder_req: ts(1),
+                        forwarded_to: None,
+                    },
+                )],
+                vec![],
+                vec![],
+                vec![send(2, 2, Body::Request { ts: ts(2) })],
+            ]
+        );
+        assert_eq!(
+            format!("{:?}", sites[0]),
+            "DelayOptimal { site: SiteId(0), cfg: Config { forwarding_enabled: true }, \
+             clock: LamportClock { last: 2 }, req_set: [SiteId(0), SiteId(2)], phase: InCs, \
+             my_req: Some(Timestamp { seq: SeqNum(2), site: SiteId(0) }), \
+             replied: {SiteId(0), SiteId(2)}, failed: false, \
+             lock: Some(Timestamp { seq: SeqNum(2), site: SiteId(0) }), \
+             req_queue: ReqQueue { set: {} }, tran_stack: [], inq_queue: [], \
+             early_returns: {}, known_failed: {}, confirmed_failed: {}, \
+             inaccessible: false, want_cs: false, deadline: None, withheld: {}, \
+             rejoining: false, peer_universe: [], rejoin_awaiting: {}, local_q: [], .. }"
+        );
+    }
+
+    #[test]
+    fn fault_free_lazy_site_holds_its_quorum_only_while_requesting() {
+        let mut sites = lazy_net();
+        let mut inflight = VecDeque::new();
+        let first = step(&mut sites, 0, &mut inflight, |s, fx| s.request_cs(fx));
+        assert_eq!(sites[0].req_set(), &[SiteId(0), SiteId(1)]);
+        assert!(sites[0].cold.rq.is_some());
+        settle(&mut sites, &mut inflight);
+        step(&mut sites, 0, &mut inflight, |s, fx| s.release_cs(fx));
+        settle(&mut sites, &mut inflight);
+        for s in &sites {
+            s.assert_invariants();
+            assert!(s.cold.rq.is_none(), "{}: requester box kept", s.site());
+            assert!(s.req_set().is_empty(), "{}: quorum kept", s.site());
+            assert_eq!(s.cold.req_set.capacity(), 0);
+            assert_eq!(
+                s.cold.local_q.capacity(),
+                0,
+                "{}: queue buffer kept",
+                s.site()
+            );
+        }
+        // The next request pulls the same quorum and asks the same
+        // members, with the next timestamp.
+        let second = step(&mut sites, 0, &mut inflight, |s, fx| s.request_cs(fx));
+        assert_eq!(sites[0].req_set(), &[SiteId(0), SiteId(1)]);
+        let ts = |seq| Timestamp::new(seq, SiteId(0));
+        assert_eq!(first, vec![send(1, 1, Body::Request { ts: ts(1) })]);
+        assert_eq!(second, vec![send(1, 2, Body::Request { ts: ts(2) })]);
+        settle(&mut sites, &mut inflight);
+        assert!(sites[0].in_cs());
     }
 }

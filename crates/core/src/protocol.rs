@@ -557,7 +557,12 @@ pub trait QuorumSource: Send + Sync {
     /// Returns a quorum for `site` that avoids every site in `down`, or
     /// `None` if no live quorum exists (the site becomes inaccessible, as the
     /// paper prescribes).
-    fn quorum_avoiding(&mut self, site: SiteId, down: &BTreeSet<SiteId>) -> Option<Vec<SiteId>>;
+    ///
+    /// Must be a pure function of `(site, down)`: a site built by
+    /// [`DelayOptimal::with_lazy_quorum_source`](crate::DelayOptimal::with_lazy_quorum_source)
+    /// drops its fault-free quorum when a request ends and pulls it again
+    /// for the next one, relying on getting the same quorum back.
+    fn quorum_avoiding(&self, site: SiteId, down: &BTreeSet<SiteId>) -> Option<Vec<SiteId>>;
 
     /// Clones the source as a boxed trait object (lets protocol instances
     /// holding a source be `Clone`, which the model checker requires).
@@ -589,7 +594,7 @@ impl StaticQuorums {
 }
 
 impl QuorumSource for StaticQuorums {
-    fn quorum_avoiding(&mut self, site: SiteId, down: &BTreeSet<SiteId>) -> Option<Vec<SiteId>> {
+    fn quorum_avoiding(&self, site: SiteId, down: &BTreeSet<SiteId>) -> Option<Vec<SiteId>> {
         let q = self.quorums.get(site.index())?.clone();
         if q.iter().any(|m| down.contains(m)) {
             None
@@ -659,8 +664,7 @@ mod tests {
 
     #[test]
     fn static_quorums_reports_inaccessible_when_member_down() {
-        let mut src =
-            StaticQuorums::new(vec![vec![SiteId(0), SiteId(1)], vec![SiteId(1), SiteId(2)]]);
+        let src = StaticQuorums::new(vec![vec![SiteId(0), SiteId(1)], vec![SiteId(1), SiteId(2)]]);
         let none_down = BTreeSet::new();
         assert_eq!(
             src.quorum_avoiding(SiteId(0), &none_down),

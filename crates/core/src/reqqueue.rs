@@ -6,9 +6,19 @@
 //! permission. Fault handling (§6) additionally needs removal of arbitrary
 //! entries (a failed site's request), so the queue is a sorted,
 //! duplicate-free `VecDeque` searched by binary search rather than a binary
-//! heap. Arbiter queues are short (tens of entries even under heavy
-//! contention at `N = 10⁴`), so one flat buffer per arbiter beats a tree's
-//! per-node allocations on both memory and speed.
+//! heap. Arbiter queues are short (a few hundred entries at most even under
+//! heavy contention at `N = 10⁴`), so one flat buffer per arbiter beats a
+//! tree's per-node allocations on both memory and speed.
+//!
+//! # Growth policy
+//!
+//! The buffer follows the queue's length within a quarter: a full queue
+//! grows by `max(4, len / 4)` slots instead of doubling, a removal that
+//! leaves more than `max(4, len / 4)` free slots shrinks the buffer to
+//! half that slack, and a drained queue gives its buffer back. Doubling
+//! would leave up to half of every peak-sized buffer unused; at
+//! `N = 10⁴` the arbiters' queues are the largest block of memory, and
+//! most of them peak and drain within one burst.
 
 use crate::clock::Timestamp;
 use crate::protocol::SiteId;
@@ -43,6 +53,9 @@ impl ReqQueue {
         match self.set.binary_search(&ts) {
             Ok(_) => false,
             Err(pos) => {
+                if self.set.len() == self.set.capacity() {
+                    self.set.reserve_exact(slack(self.set.len()));
+                }
                 self.set.insert(pos, ts);
                 true
             }
@@ -57,7 +70,7 @@ impl ReqQueue {
     /// Removes and returns the highest-priority pending request.
     pub fn pop(&mut self) -> Option<Timestamp> {
         let head = self.set.pop_front();
-        self.release_if_empty();
+        self.fit();
         head
     }
 
@@ -67,7 +80,7 @@ impl ReqQueue {
             return false;
         };
         self.set.remove(pos);
-        self.release_if_empty();
+        self.fit();
         true
     }
 
@@ -82,7 +95,7 @@ impl ReqQueue {
             }
             keep
         });
-        self.release_if_empty();
+        self.fit();
         victims
     }
 
@@ -116,13 +129,24 @@ impl ReqQueue {
         self.set = VecDeque::new();
     }
 
-    /// Gives a drained queue's buffer back: at large `N` most arbiters sit
-    /// idle after a burst, and each would otherwise keep its peak capacity.
-    fn release_if_empty(&mut self) {
-        if self.set.is_empty() {
+    /// Trims the buffer after a removal (see the module's growth policy).
+    /// A drained queue gives its buffer back: at large `N` most arbiters
+    /// sit idle after a burst, and each would otherwise keep its peak
+    /// capacity.
+    fn fit(&mut self) {
+        let len = self.set.len();
+        if len == 0 {
             self.set = VecDeque::new();
+        } else if self.set.capacity() > len + slack(len) {
+            self.set.shrink_to(len + slack(len) / 2);
         }
     }
+}
+
+/// The most free slots a queue of `len` entries keeps, and what a full
+/// one grows by.
+fn slack(len: usize) -> usize {
+    (len / 4).max(4)
 }
 
 // Prints exactly like the derived `BTreeSet`-backed form it replaced,
@@ -155,7 +179,9 @@ impl FromIterator<Timestamp> for ReqQueue {
         let mut v: Vec<Timestamp> = iter.into_iter().collect();
         v.sort_unstable();
         v.dedup();
-        ReqQueue { set: v.into() }
+        let mut q = ReqQueue { set: v.into() };
+        q.fit();
+        q
     }
 }
 
@@ -239,6 +265,24 @@ mod tests {
         assert_eq!(q.set.capacity(), 0);
     }
 
+    #[test]
+    fn buffer_follows_the_length_within_a_quarter() {
+        let mut q = ReqQueue::new();
+        let within = |q: &ReqQueue| q.set.capacity() <= q.len() + (q.len() / 4).max(4);
+        for i in 0..200 {
+            q.insert(ts(i, 1));
+            assert!(within(&q), "{} slots for {}", q.set.capacity(), q.len());
+        }
+        // Doubling would hold 256 slots here.
+        assert!(q.set.capacity() <= 250, "{} slots", q.set.capacity());
+        for i in 0..199 {
+            assert!(q.remove(&ts(i, 1)));
+            assert!(within(&q), "{} slots for {}", q.set.capacity(), q.len());
+        }
+        assert_eq!(q.pop(), Some(ts(199, 1)));
+        assert_eq!(q.set.capacity(), 0);
+    }
+
     /// The `BTreeSet`-backed queue this type replaced, as a reference
     /// model: same name and field, so its derived `Debug` is the text the
     /// model checker fingerprinted before.
@@ -306,7 +350,9 @@ mod tests {
 
     proptest! {
         /// Every operation agrees with a `BTreeSet<Timestamp>` model, and
-        /// so does the `Debug` text after each step.
+        /// so does the `Debug` text after each step. The buffer stays
+        /// within a quarter of the length (at least 4 slots) of free
+        /// space, and a drained queue holds none.
         #[test]
         fn matches_an_ordered_set_model(script in Script) {
             let mut q = ReqQueue::new();
@@ -342,6 +388,12 @@ mod tests {
                     prop_assert!(q.contains(t));
                 }
                 prop_assert_eq!(format!("{q:?}"), format!("{m:?}"));
+                let (len, cap) = (q.len(), q.set.capacity());
+                if len == 0 {
+                    prop_assert_eq!(cap, 0);
+                } else {
+                    prop_assert!(cap <= len + (len / 4).max(4), "{} slots for {}", cap, len);
+                }
             }
         }
     }

@@ -261,7 +261,7 @@ impl FppQuorumSource {
 }
 
 impl QuorumSource for FppQuorumSource {
-    fn quorum_avoiding(&mut self, site: SiteId, down: &BTreeSet<SiteId>) -> Option<Vec<SiteId>> {
+    fn quorum_avoiding(&self, site: SiteId, down: &BTreeSet<SiteId>) -> Option<Vec<SiteId>> {
         let q = self.q;
         let primary = self.assigned[site.index()];
         let incident = line_points(triple(site.index(), q), q);
@@ -329,7 +329,7 @@ mod tests {
     fn lazy_source_matches_eager_system() {
         for q in [2usize, 3, 5, 7, 11] {
             let sys = fpp_system(q).unwrap();
-            let mut lazy = FppQuorumSource::new(q).unwrap();
+            let lazy = FppQuorumSource::new(q).unwrap();
             assert_eq!(lazy.n(), sys.n());
             for s in 0..sys.n() {
                 let site = SiteId(s as u32);
@@ -351,7 +351,7 @@ mod tests {
 
     #[test]
     fn lazy_source_switches_to_another_incident_line() {
-        let mut lazy = FppQuorumSource::new(3).unwrap(); // N = 13, lines of 4
+        let lazy = FppQuorumSource::new(3).unwrap(); // N = 13, lines of 4
         for s in 0..13u32 {
             let site = SiteId(s);
             let original = lazy.quorum_avoiding(site, &BTreeSet::new()).unwrap();
@@ -370,7 +370,7 @@ mod tests {
     fn lazy_source_reports_inaccessible_when_every_line_is_hit() {
         // Fano plane: site 0 lies on 3 lines; failing one distinct
         // non-self point per line makes all of them unusable.
-        let mut lazy = FppQuorumSource::new(2).unwrap();
+        let lazy = FppQuorumSource::new(2).unwrap();
         let site = SiteId(0);
         let mut down = BTreeSet::new();
         // Greedily poison lines until the site becomes inaccessible; q+1

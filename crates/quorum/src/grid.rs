@@ -125,7 +125,7 @@ impl GridQuorumSource {
 }
 
 impl QuorumSource for GridQuorumSource {
-    fn quorum_avoiding(&mut self, site: SiteId, down: &BTreeSet<SiteId>) -> Option<Vec<SiteId>> {
+    fn quorum_avoiding(&self, site: SiteId, down: &BTreeSet<SiteId>) -> Option<Vec<SiteId>> {
         let (row, col) = (site.index() / self.c, site.index() % self.c);
         // Fast path: the site's own row and column (exactly what
         // `grid_system` assigns) — always intersection-safe, even when the
@@ -194,7 +194,7 @@ mod tests {
     fn lazy_source_matches_eager_system() {
         for n in 1..=60usize {
             let sys = grid_system(n);
-            let mut lazy = GridQuorumSource::new(n);
+            let lazy = GridQuorumSource::new(n);
             for s in 0..n {
                 let site = SiteId(s as u32);
                 let q = lazy
@@ -209,7 +209,7 @@ mod tests {
     fn lazy_quorums_are_allocated_at_their_exact_size() {
         let mut down = BTreeSet::new();
         for n in [1usize, 7, 12, 60, 10_000] {
-            let mut lazy = GridQuorumSource::new(n);
+            let lazy = GridQuorumSource::new(n);
             for s in (0..n).step_by(n.div_ceil(97)) {
                 let q = lazy
                     .quorum_avoiding(SiteId(s as u32), &down)
@@ -229,7 +229,7 @@ mod tests {
     fn lazy_source_reconstructs_around_failures() {
         // n=12, c=4: rows [0..4),[4..8),[8..12). Kill site 5: every quorum
         // using row 1 or column 1 must re-route.
-        let mut lazy = GridQuorumSource::new(12);
+        let lazy = GridQuorumSource::new(12);
         let down: BTreeSet<SiteId> = [SiteId(5)].into_iter().collect();
         for s in 0..12u32 {
             if s == 5 {
@@ -261,7 +261,7 @@ mod tests {
     #[test]
     fn lazy_source_reports_inaccessible_when_no_row_survives() {
         // n=4, c=2: rows {0,1},{2,3}. Kill 0 and 3: no live row remains.
-        let mut lazy = GridQuorumSource::new(4);
+        let lazy = GridQuorumSource::new(4);
         let down: BTreeSet<SiteId> = [SiteId(0), SiteId(3)].into_iter().collect();
         assert_eq!(lazy.quorum_avoiding(SiteId(1), &down), None);
     }

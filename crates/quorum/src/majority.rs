@@ -54,7 +54,7 @@ impl MajorityQuorumSource {
 }
 
 impl QuorumSource for MajorityQuorumSource {
-    fn quorum_avoiding(&mut self, site: SiteId, down: &BTreeSet<SiteId>) -> Option<Vec<SiteId>> {
+    fn quorum_avoiding(&self, site: SiteId, down: &BTreeSet<SiteId>) -> Option<Vec<SiteId>> {
         let m = majority_size(self.n);
         let mut q: Vec<SiteId> = Vec::with_capacity(m);
         for k in 0..self.n {
@@ -105,7 +105,7 @@ mod tests {
 
     #[test]
     fn source_tolerates_minority_failures() {
-        let mut src = MajorityQuorumSource::new(5);
+        let src = MajorityQuorumSource::new(5);
         let down: BTreeSet<SiteId> = [SiteId(1), SiteId(2)].into_iter().collect();
         let q = src.quorum_avoiding(SiteId(0), &down).unwrap();
         assert_eq!(q, vec![SiteId(0), SiteId(3), SiteId(4)]);

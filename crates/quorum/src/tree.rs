@@ -166,7 +166,7 @@ impl TreeQuorumSource {
 }
 
 impl QuorumSource for TreeQuorumSource {
-    fn quorum_avoiding(&mut self, site: SiteId, down: &BTreeSet<SiteId>) -> Option<Vec<SiteId>> {
+    fn quorum_avoiding(&self, site: SiteId, down: &BTreeSet<SiteId>) -> Option<Vec<SiteId>> {
         tree_quorum(self.n, down, site.0 as u64).ok()
     }
 
@@ -268,7 +268,7 @@ mod tests {
 
     #[test]
     fn quorum_source_reconstructs() {
-        let mut src = TreeQuorumSource::new(7).unwrap();
+        let src = TreeQuorumSource::new(7).unwrap();
         let q0 = src.quorum_avoiding(SiteId(0), &BTreeSet::new()).unwrap();
         assert_eq!(q0.len(), 3);
         let q1 = src.quorum_avoiding(SiteId(0), &down(&[q0[1].0])).unwrap();

@@ -75,7 +75,7 @@ impl WheelQuorumSource {
 
 impl qmx_core::QuorumSource for WheelQuorumSource {
     fn quorum_avoiding(
-        &mut self,
+        &self,
         site: SiteId,
         down: &std::collections::BTreeSet<SiteId>,
     ) -> Option<Vec<SiteId>> {
@@ -140,7 +140,7 @@ mod tests {
 
     #[test]
     fn source_switches_to_rim_when_hub_dies() {
-        let mut src = WheelQuorumSource::new(5);
+        let src = WheelQuorumSource::new(5);
         let none = BTreeSet::new();
         assert_eq!(
             src.quorum_avoiding(SiteId(3), &none),
@@ -159,7 +159,7 @@ mod tests {
 
     #[test]
     fn source_avoids_dead_spokes_while_hub_lives() {
-        let mut src = WheelQuorumSource::new(4);
+        let src = WheelQuorumSource::new(4);
         let mut down = BTreeSet::new();
         down.insert(SiteId(2));
         // Site 2 itself is dead; a live requester still pairs with the hub.

@@ -81,7 +81,7 @@ impl RingMajoritySource {
 }
 
 impl QuorumSource for RingMajoritySource {
-    fn quorum_avoiding(&mut self, site: SiteId, down: &BTreeSet<SiteId>) -> Option<Vec<SiteId>> {
+    fn quorum_avoiding(&self, site: SiteId, down: &BTreeSet<SiteId>) -> Option<Vec<SiteId>> {
         let m = (self.n / 2 + 1) as usize;
         let mut q = Vec::with_capacity(m);
         for k in 0..self.n {

@@ -37,7 +37,7 @@ proptest! {
     #[test]
     fn grid_lazy_matches_eager(n in 1usize..200) {
         let sys = grid_system(n);
-        let mut lazy = GridQuorumSource::new(n);
+        let lazy = GridQuorumSource::new(n);
         for s in 0..n {
             let site = SiteId(s as u32);
             let q = lazy
@@ -53,7 +53,7 @@ proptest! {
     fn fpp_lazy_matches_eager(qi in 0usize..6) {
         let q = [2usize, 3, 5, 7, 11, 13][qi];
         let sys = fpp_system(q).unwrap();
-        let mut lazy = FppQuorumSource::new(q).unwrap();
+        let lazy = FppQuorumSource::new(q).unwrap();
         for s in 0..sys.n() {
             let site = SiteId(s as u32);
             let quorum = lazy
@@ -72,7 +72,7 @@ proptest! {
     ) {
         let down: BTreeSet<SiteId> =
             dead.into_iter().filter(|&d| (d as usize) < n).map(SiteId).collect();
-        let mut lazy = GridQuorumSource::new(n);
+        let lazy = GridQuorumSource::new(n);
         let quorums: Vec<Vec<SiteId>> = (0..n)
             .filter(|s| !down.contains(&SiteId(*s as u32)))
             .filter_map(|s| lazy.quorum_avoiding(SiteId(s as u32), &down))
@@ -93,11 +93,11 @@ proptest! {
 #[test]
 fn sampled_pairs_intersect_at_n_10k() {
     let n = 10_000usize;
-    let mut grid = GridQuorumSource::new(n);
+    let grid = GridQuorumSource::new(n);
     // q = 97 is prime: N = 9507 sites, quorum size 98.
     let fpp_q = 97usize;
     let fpp_n = fpp_sites(fpp_q);
-    let mut fpp = FppQuorumSource::new(fpp_q).unwrap();
+    let fpp = FppQuorumSource::new(fpp_q).unwrap();
 
     // Fixed-seed LCG so the sampled pairs are identical run to run.
     let mut state = 0x5EED_CAFE_F00D_1234u64;
